@@ -7,18 +7,11 @@ threshold by integrating the peeling process's differential equations.
 """
 
 from .hypergraph import (
-    DeterministicConditions,
     Hypergraph,
     Orientation,
     OrientationParams,
-    SubsetStats,
-    check_deterministic_conditions,
-    check_property_A,
     check_property_T,
-    expansion_condition,
     read_hypergraph,
-    recommended_gamma,
-    subset_stats,
     verify_orientation,
     w_density,
     w_induced_subgraph,
@@ -47,7 +40,6 @@ from .flow import (
     CutWitness,
     FlowNetwork,
     build_network,
-    hakimi_check,
     max_flow,
     min_max_indegree,
     orient,

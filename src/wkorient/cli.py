@@ -106,7 +106,8 @@ class ExperimentConfig:
 @dataclasses.dataclass(frozen=True)
 class TrialRecord:
     """One sampled instance: core statistics plus the orientability verdict
-    (None when the trial didn't ask for one).  ``seconds`` stays out of the
+    (None when the trial didn't ask for one).  ``seconds`` and ``timings``
+    (wall seconds per stage: sample, peel, stats, orient) stay out of the
     persisted tables so equal seeds give equal bytes; ``degree_counts``
     (core degree histogram, index = degree) is an aggregation aid and stays
     out of them too."""
@@ -121,27 +122,40 @@ class TrialRecord:
     orientable: Optional[bool]
     seconds: float
     degree_counts: tuple = ()
+    timings: dict = dataclasses.field(default_factory=dict, compare=False)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int, stream: int) -> TrialRecord:
     """Sample, peel, and optionally flow-orient the core of one instance."""
-    t0 = time.perf_counter()
+    t0 = mark = time.perf_counter()
+    timings: dict[str, float] = {}
+
+    def lap(stage: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        timings[stage], mark = now - mark, now
+
     p = cfg.params
     rng = RngSeed(cfg.seed, stream).generator()
     H = sample_uniform_multi(cfg.n, cfg.num_edges, cfg.h, rng)
+    lap("sample")
     pr = rancore(H, p)
+    lap("peel")
     st = core_statistics(pr, p)
     core = pr.core
     if core.n:
-        degree_counts = tuple(np.bincount(core.degrees()).tolist())
+        degrees = np.bincount(core.verts, minlength=core.n)
+        degree_counts = tuple(np.bincount(degrees).tolist())
     else:
         degree_counts = ()
+    lap("stats")
     orientable: Optional[bool] = None
     if cfg.check_orientability:
         if core.num_edges == 0:
             orientable = True
         else:
             orientable = isinstance(orient(core, p), Orientation)
+    lap("orient")
     return TrialRecord(
         mu_bar=cfg.mu_bar,
         trial=trial,
@@ -151,8 +165,9 @@ def run_trial(cfg: ExperimentConfig, trial: int, stream: int) -> TrialRecord:
         kappa=float(st.kappa),
         mu_hat=st.mu_hat,
         orientable=orientable,
-        seconds=time.perf_counter() - t0,
+        seconds=mark - t0,
         degree_counts=degree_counts,
+        timings=timings,
     )
 
 
@@ -173,9 +188,11 @@ def _run_batch(cfg: ExperimentConfig, stream_base: int) -> list[TrialRecord]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial_star, jobs))
     for r in records:
+        stages = ", ".join(f"{k} {v:.2f}" for k, v in r.timings.items())
         print(
             f"  trial {r.trial} (stream {r.stream}): core {r.n_core}, "
-            f"kappa {r.kappa:.5f}, orientable {r.orientable}, {r.seconds:.1f}s",
+            f"kappa {r.kappa:.5f}, orientable {r.orientable}, {r.seconds:.1f}s "
+            f"({stages})",
             file=sys.stderr,
         )
     return records
@@ -256,8 +273,8 @@ def _record_rows(records: Sequence[TrialRecord], sizes: Sequence[int]):
 
 def _record_dict(r: TrialRecord) -> dict:
     d = dataclasses.asdict(r)
-    d.pop("seconds")
-    d.pop("degree_counts")
+    for key in ("seconds", "degree_counts", "timings"):
+        d.pop(key)
     d["m_core"] = {str(s): c for s, c in sorted(r.m_core.items())}
     return d
 
@@ -629,7 +646,7 @@ def _cmd_stats(args) -> int:
     degrees = H.degrees()
     sizes = dict(sorted(H.edge_size_counts().items(), reverse=True))
     kappa = w_density(H, p) if H.n else Fraction(0)
-    demand = sum(p.sign_demand(len(e)) for e in H.edges)
+    demand = int(H.sign_demands(p).sum())
     payload = {
         "n": H.n,
         "m": H.num_edges,

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .hypergraph import (
     Hypergraph,
@@ -44,7 +43,6 @@ __all__ = [
     "max_flow",
     "orient",
     "min_max_indegree",
-    "hakimi_check",
 ]
 
 
@@ -97,27 +95,20 @@ class CutWitness:
 def build_network(H: Hypergraph, p: OrientationParams) -> FlowNetwork:
     H.validate_sizes(p)
     m, n = H.num_edges, H.n
-    rows, cols, caps = [], [], []
-    demand = 0
-    for i, e in enumerate(H.edges):
-        d = p.sign_demand(len(e))
-        demand += d
-        rows.append(0)
-        cols.append(1 + i)
-        caps.append(d)
-        for v in sorted(set(e)):
-            rows.append(1 + i)
-            cols.append(1 + m + v)
-            caps.append(1)
-    for v in range(n):
-        rows.append(1 + m + v)
-        cols.append(m + n + 1)
-        caps.append(p.k)
+    demand = H.sign_demands(p)
+    first = H.first_of_vertex
+    # rows in node order: source, edge nodes, vertex nodes, sink
+    counts = np.concatenate(([m], H.distinct_sizes(), np.ones(n, dtype=np.int64), [0]))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    indices = np.concatenate(
+        (np.arange(1, m + 1), 1 + m + H.verts[first], np.full(n, m + n + 1))
+    ).astype(np.int32)
+    data = np.concatenate(
+        (demand, np.ones(len(indices) - m - n, dtype=np.int64), np.full(n, p.k))
+    ).astype(np.int32)
     size = m + n + 2
-    mat = csr_matrix(
-        (np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(size, size)
-    )
-    return FlowNetwork(mat, m, n, demand)
+    mat = csr_matrix((data, indices, indptr), shape=(size, size))
+    return FlowNetwork(mat, m, n, int(demand.sum()))
 
 
 def max_flow(net: FlowNetwork) -> tuple[int, csr_matrix]:
@@ -127,76 +118,51 @@ def max_flow(net: FlowNetwork) -> tuple[int, csr_matrix]:
     return int(res.flow_value), res.flow
 
 
-def _flow_map(flow: csr_matrix) -> dict[tuple[int, int], int]:
-    coo = flow.tocoo()
-    return {
-        (int(i), int(j)): int(f)
-        for i, j, f in zip(coo.row, coo.col, coo.data)
-        if f > 0
-    }
-
-
-def _residual_reachable(net: FlowNetwork, flow: csr_matrix) -> set[int]:
+def _residual_reachable(net: FlowNetwork, flow: csr_matrix) -> np.ndarray:
     """Nodes reachable from the source when arcs keep residual capacity
-    cap - f and every positive flow opens the reverse arc."""
-    residual_fwd: dict[int, list[int]] = {}
-    residual_bwd: dict[int, list[int]] = {}
-    coo = net.capacities.tocoo()
-    fmap = _flow_map(flow)
-    for i, j, c in zip(coo.row, coo.col, coo.data):
-        f = fmap.get((int(i), int(j)), 0)
-        if c - f > 0:
-            residual_fwd.setdefault(int(i), []).append(int(j))
-        if f > 0:
-            residual_bwd.setdefault(int(j), []).append(int(i))
-    seen = {net.source}
-    stack = [net.source]
-    while stack:
-        u = stack.pop()
-        for v in residual_fwd.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-        for v in residual_bwd.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    cap - f and every positive flow opens the reverse arc (scipy stores a
+    reverse entry of flow -f, so cap - flow covers both)."""
+    residual = (net.capacities - flow).tocsr()
+    residual.data = (residual.data > 0).astype(np.int8)
+    residual.eliminate_zeros()
+    return breadth_first_order(
+        residual, net.source, directed=True, return_predecessors=False
+    )
 
 
 def orient(H: Hypergraph, p: OrientationParams) -> Union[Orientation, CutWitness]:
     """Decide (w,k)-orientability; return a valid Orientation or a
     CutWitness whose induced density exceeds k (checked in exact rationals).
     """
-    for i, e in enumerate(H.edges):
-        if len(set(e)) < p.sign_demand(len(e)):
-            return CutWitness(S=(), kappa_S=None, degenerate_edge=i)
+    H.validate_sizes(p)
+    degenerate = np.flatnonzero(H.distinct_sizes() < H.sign_demands(p))
+    if len(degenerate):
+        return CutWitness(S=(), kappa_S=None, degenerate_edge=int(degenerate[0]))
     net = build_network(H, p)
     value, flow = max_flow(net)
+    m = net.num_edges
     if value == net.total_demand:
-        signs = []
-        fmap = _flow_map(flow)
-        for i, e in enumerate(H.edges):
-            u = net.edge_node(i)
-            picked = [
-                v for v in sorted(set(e)) if fmap.get((u, net.vertex_node(v)), 0) >= 1
-            ]
-            signs.append(tuple(picked))
-        out = Orientation(signs)
+        # the edge-node rows: positive entries are the saturated unit arcs
+        # (the source column holds the reverse flow, negative)
+        lo, hi = flow.indptr[1], flow.indptr[m + 1]
+        picked = flow.data[lo:hi] > 0
+        owner = np.repeat(np.arange(m), np.diff(flow.indptr[1 : m + 2]))[picked]
+        out = Orientation(
+            ptr=np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=m)))),
+            verts=flow.indices[lo:hi][picked] - (m + 1),
+        )
         ok, reason = verify_orientation(H, out, p)
         if not ok:  # pragma: no cover - internal consistency
             raise RuntimeError(f"flow produced an invalid orientation: {reason}")
         return out
     reach = _residual_reachable(net, flow)
-    S = tuple(
-        v for v in range(H.n) if net.vertex_node(v) in reach
-    )
+    S = tuple(np.sort(reach[(reach > m) & (reach <= m + H.n)] - (m + 1)).tolist())
     kappa = w_density(w_induced_subgraph(H, S, p), p) if S else None
     witness = CutWitness(S=S, kappa_S=kappa)
     if kappa is None or kappa <= p.k:
         # Guaranteed impossible for vertex-distinct edges; with internal
         # repeats the min cut can under-count density (see module docstring).
-        if all(len(set(e)) == len(e) for e in H.edges):  # pragma: no cover
+        if H.first_of_vertex.all():  # pragma: no cover
             raise RuntimeError(
                 f"cut witness fails to violate the density bound: {witness}"
             )
@@ -236,23 +202,3 @@ def min_max_indegree(
     if best is None:  # pragma: no cover - upper bound argument rules this out
         raise RuntimeError("no orientation found at the max-degree bound")
     return best_k, best
-
-
-def hakimi_check(H: Hypergraph, p: OrientationParams, max_n: int = 20) -> bool:
-    """Exhaustive density test: kappa(w-induced on S) <= k for every S.
-
-    On simple-edge instances this is exactly orientability; an edge with
-    fewer distinct vertices than its sign demand is a trivial obstruction
-    checked first (the density criterion cannot see multiplicities).
-    """
-    if H.n > max_n:
-        raise ValueError(f"exhaustive density check capped at n={max_n}")
-    for e in H.edges:
-        if len(set(e)) < p.sign_demand(len(e)):
-            return False
-    for size in range(1, H.n + 1):
-        for S in combinations(range(H.n), size):
-            sub = w_induced_subgraph(H, S, p)
-            if sub.num_edges and w_density(sub, p) > p.k:
-                return False
-    return True

@@ -1,37 +1,34 @@
 """Domain types for non-uniform multi-hypergraphs and the deterministic
-statistics used throughout: w-density, induced subgraphs, subset expansion
-counts, and orientation checking.
+statistics used throughout: w-density, induced subgraphs, and orientation
+checking.
 
-Conventions.  Vertices are 0..n-1.  An edge is a sorted tuple of vertex ids
+Conventions.  Vertices are 0..n-1.  An edge is a sorted run of vertex ids
 *with multiplicity*: degrees and edge sizes count repeats, while orientation
-signs always go to distinct vertices.  With arity parameters (h, w), an edge
-of size h-j demands w-j signs, so meaningful sizes live in [h-w+1, h].
+signs always go to distinct vertices.  Hypergraphs and orientations are
+stored as CSR arrays; their tuple-of-tuples views are built on demand.
+With arity parameters (h, w), an edge of size h-j demands w-j signs, so
+meaningful sizes live in [h-w+1, h].
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, TextIO
+
+import numpy as np
 
 __all__ = [
     "OrientationParams",
     "Hypergraph",
     "Orientation",
-    "SubsetStats",
     "w_density",
     "w_induced_subgraph",
-    "subset_stats",
     "verify_orientation",
     "check_property_T",
-    "check_property_A",
-    "DeterministicConditions",
-    "check_deterministic_conditions",
-    "expansion_condition",
-    "recommended_gamma",
     "read_hypergraph",
     "write_hypergraph",
 ]
@@ -66,76 +63,169 @@ class OrientationParams:
         return self.w - (self.h - size)
 
 
-def _canon_edge(edge: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(edge))
+def _sort_rows(ptr: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """verts with every row ptr[i]:ptr[i+1] in ascending order; returned
+    as is when it already is (the common case), since that check is cheap."""
+    down = verts[1:] < verts[:-1]
+    starts = ptr[1:-1]
+    down[starts[(starts > 0) & (starts < len(verts))] - 1] = False
+    if not down.any():
+        return verts
+    row = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    return verts[np.lexsort((verts, row))]
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """A multi-hypergraph on vertices 0..n-1; edges may repeat vertices."""
+def _csr(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, verts) of a sequence of int rows, or of an (m, h) int array."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        m, h = rows.shape
+        return np.arange(m + 1, dtype=np.int64) * h, rows.ravel()
+    rows = [r if isinstance(r, (tuple, list)) else tuple(r) for r in rows]
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=ptr[1:])
+    verts = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(ptr[-1]))
+    return ptr, verts
 
-    n: int
-    edges: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, edges: Iterable[Iterable[int]]):
+class _Rows:
+    """Immutable rows of ints in CSR form: row i is verts[ptr[i]:ptr[i+1]],
+    sorted ascending.  Subclasses name the tuple-of-tuples view."""
+
+    def __init__(self, rows, ptr, verts):
+        if ptr is None:
+            ptr, verts = _csr(rows)
+        # own copies, so the caller's arrays stay theirs to change
+        ptr = np.array(ptr, dtype=np.int64)
+        verts = _sort_rows(ptr, np.array(verts, dtype=np.int64))
+        ptr.flags.writeable = verts.flags.writeable = False
+        self.__dict__.update(ptr=ptr, verts=verts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getattr__(self, name):
+        # an instance assembled from its tuple view alone derives its arrays
+        view = self.__dict__.get(self._view_name)
+        if name not in ("ptr", "verts") or view is None:
+            raise AttributeError(name)
+        ptr, verts = _csr(tuple(sorted(r)) for r in view)
+        self.__dict__.update(ptr=ptr, verts=verts)
+        return self.__dict__[name]
+
+    def _rows_view(self) -> tuple[tuple[int, ...], ...]:
+        flat, bounds = self.verts.tolist(), self.ptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    @cached_property
+    def row_of(self) -> np.ndarray:
+        """Row index of every entry of verts."""
+        return np.repeat(np.arange(len(self.ptr) - 1), self.sizes)
+
+    def _key(self):
+        return (self.__dict__.get("n"), self.ptr.tobytes(), self.verts.tobytes())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        n = f"{self.n}, " if "n" in self.__dict__ else ""
+        return f"{type(self).__name__}({n}{list(getattr(self, self._view_name))!r})"
+
+
+class Hypergraph(_Rows):
+    """A multi-hypergraph on vertices 0..n-1 as CSR incidence: edge i is
+    ``verts[ptr[i]:ptr[i+1]]``, sorted, with multiplicity.  ``edges`` is a
+    tuple-of-tuples view, built on first use."""
+
+    _view_name = "edges"
+
+    def __init__(
+        self, n: int, edges: Iterable[Iterable[int]] = (), *, ptr=None, verts=None
+    ):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        canon = tuple(_canon_edge(e) for e in edges)
-        for e in canon:
-            if len(e) == 0:
+        super().__init__(edges, ptr, verts)
+        self.__dict__["n"] = n
+        outside = np.flatnonzero((self.verts < 0) | (self.verts >= n))
+        bad = self.sizes == 0
+        bad[self.row_of[outside]] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            if self.ptr[i] == self.ptr[i + 1]:
                 raise ValueError("empty edge")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e} has a vertex outside 0..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", canon)
+            e = tuple(self.verts[self.ptr[i] : self.ptr[i + 1]].tolist())
+            raise ValueError(f"edge {e} has a vertex outside 0..{n - 1}")
+
+    edges = cached_property(_Rows._rows_view)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.ptr) - 1
 
     @property
     def total_degree(self) -> int:
         """d(H): overall ball count, i.e. sum of edge sizes with multiplicity."""
-        return sum(len(e) for e in self.edges)
+        return len(self.verts)
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return deg
+        return np.bincount(self.verts, minlength=self.n).tolist()
 
     def degree(self, v: int) -> int:
-        return sum(e.count(v) for e in self.edges)
+        return int(np.count_nonzero(self.verts == v))
 
     def edge_size_counts(self) -> Counter:
         """Histogram {size: count} over edges."""
-        return Counter(len(e) for e in self.edges)
+        counts = np.bincount(self.sizes)
+        return Counter({s: c for s, c in enumerate(counts.tolist()) if c})
 
     def validate_sizes(self, p: OrientationParams) -> None:
-        for e in self.edges:
-            if not (p.min_edge_size <= len(e) <= p.h):
-                raise ValueError(
-                    f"edge {e} has size {len(e)}, outside [{p.min_edge_size}, {p.h}]"
-                )
+        sizes = self.sizes
+        bad = np.flatnonzero((sizes < p.min_edge_size) | (sizes > p.h))
+        if len(bad):
+            i = int(bad[0])
+            e = tuple(self.verts[self.ptr[i] : self.ptr[i + 1]].tolist())
+            raise ValueError(
+                f"edge {e} has size {len(e)}, outside [{p.min_edge_size}, {p.h}]"
+            )
+
+    def sign_demands(self, p: OrientationParams) -> np.ndarray:
+        """Per-edge sign demand w - (h - size); sizes must be validated."""
+        return self.sizes - (p.h - p.w)
+
+    @cached_property
+    def first_of_vertex(self) -> np.ndarray:
+        """Mask of the balls that are the first of their vertex in their
+        edge (edges are sorted, so repeats are adjacent)."""
+        verts, row = self.verts, self.row_of
+        first = np.ones(len(verts), dtype=bool)
+        first[1:] = (verts[1:] != verts[:-1]) | (row[1:] != row[:-1])
+        return first
+
+    def distinct_sizes(self) -> np.ndarray:
+        """Number of distinct vertices in each edge."""
+        return np.bincount(self.row_of[self.first_of_vertex], minlength=self.num_edges)
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Per-edge sign sets: signs[i] is the tuple of distinct vertices that
-    edge i points at."""
+class Orientation(_Rows):
+    """Per-edge sign sets: edge i points at the distinct vertices
+    ``verts[ptr[i]:ptr[i+1]]`` (sorted); ``signs`` is the tuple view."""
 
-    signs: tuple[tuple[int, ...], ...]
+    _view_name = "signs"
 
-    def __init__(self, signs: Iterable[Iterable[int]]):
-        object.__setattr__(self, "signs", tuple(tuple(sorted(s)) for s in signs))
+    def __init__(self, signs: Iterable[Iterable[int]] = (), *, ptr=None, verts=None):
+        super().__init__(signs, ptr, verts)
+
+    signs = cached_property(_Rows._rows_view)
 
     def indegrees(self, n: int) -> list[int]:
-        deg = [0] * n
-        for s in self.signs:
-            for v in s:
-                deg[v] += 1
-        return deg
+        return np.bincount(self.verts, minlength=n).tolist()
 
     def max_indegree(self, n: int) -> int:
         return max(self.indegrees(n), default=0)
@@ -150,70 +240,23 @@ def w_density(H: Hypergraph, p: OrientationParams) -> Fraction:
     if H.n < 1:
         raise ValueError("w-density needs a nonempty vertex set")
     H.validate_sizes(p)
-    demand = sum(p.sign_demand(len(e)) for e in H.edges)
-    return Fraction(demand, H.n)
+    return Fraction(H.total_degree - (p.h - p.w) * H.num_edges, H.n)
 
 
 def w_induced_subgraph(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> Hypergraph:
     """Subgraph w-induced by S: keep x∩S (with multiplicity) when it still
     has size >= h-w+1; vertices are relabeled to 0..|S|-1 in sorted order."""
-    Ss = sorted(set(S))
-    if Ss and (Ss[0] < 0 or Ss[-1] >= H.n):
+    Ss = np.unique(np.fromiter(S, dtype=np.int64))
+    if len(Ss) and (Ss[0] < 0 or Ss[-1] >= H.n):
         raise ValueError("subset contains vertices outside the hypergraph")
-    rank = {v: i for i, v in enumerate(Ss)}
-    kept = []
-    for e in H.edges:
-        trimmed = tuple(rank[v] for v in e if v in rank)
-        if len(trimmed) >= p.min_edge_size:
-            kept.append(trimmed)
-    return Hypergraph(len(Ss), kept)
-
-
-class SubsetStats(NamedTuple):
-    """One-pass counts for a vertex subset S.
-
-    m_table[(s, i)] counts size-s edges with exactly i of their balls in S
-    (i >= 1 only); q[s] is the degree contribution of size-s edges to d_S;
-    dstar is d_S minus the over-demand sum, the expansion functional.
-    """
-
-    S: frozenset
-    d_S: int
-    m_table: dict
-    rho: int
-    nu: int
-    eta: int
-    q: dict
-    dstar: int
-
-
-def subset_stats(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> SubsetStats:
-    Sset = frozenset(S)
-    if any(v < 0 or v >= H.n for v in Sset):
-        raise ValueError("subset contains vertices outside the hypergraph")
-    H.validate_sizes(p)
-    d_S = 0
-    m_table: dict[tuple[int, int], int] = {}
-    rho = nu = eta = 0
-    q: dict[int, int] = {}
-    over = 0  # sum over edges of max(0, i - sign_demand) clipped per the table
-    for e in H.edges:
-        s = len(e)
-        i = sum(1 for v in e if v in Sset)
-        if i == 0:
-            continue
-        d_S += i
-        m_table[(s, i)] = m_table.get((s, i), 0) + 1
-        q[s] = q.get(s, 0) + i
-        nu += 1
-        if i >= 2:
-            rho += 1
-        if i < s:
-            eta += 1
-        demand = p.sign_demand(s)
-        if i > demand:
-            over += i - demand
-    return SubsetStats(Sset, d_S, m_table, rho, nu, eta, q, d_S - over)
+    rank = np.full(H.n, -1, dtype=np.int64)
+    rank[Ss] = np.arange(len(Ss))
+    inside = rank[H.verts] >= 0
+    kept = np.bincount(H.row_of[inside], minlength=H.num_edges)
+    keep = kept >= p.min_edge_size
+    ptr = np.concatenate(([0], np.cumsum(kept[keep])))
+    verts = rank[H.verts[inside & keep[H.row_of]]]
+    return Hypergraph(len(Ss), ptr=ptr, verts=verts)
 
 
 def verify_orientation(H: Hypergraph, o: Orientation, p: OrientationParams):
@@ -221,26 +264,39 @@ def verify_orientation(H: Hypergraph, o: Orientation, p: OrientationParams):
 
     Valid means: every size-s edge carries exactly sign_demand(s) signs, all
     distinct and drawn from the edge's own vertices, and no vertex collects
-    more than k signs overall.
+    more than k signs overall.  The first failing edge is reported.
     """
-    if len(o.signs) != H.num_edges:
-        raise ValueError(
-            f"orientation covers {len(o.signs)} edges, hypergraph has {H.num_edges}"
-        )
-    for idx, (e, s) in enumerate(zip(H.edges, o.signs)):
-        need = p.sign_demand(len(e))
-        if len(set(s)) != len(s):
-            return False, f"edge {idx}: repeated sign"
-        if len(s) != need:
-            return False, f"edge {idx}: {len(s)} signs, needs {need}"
-        support = set(e)
-        for v in s:
-            if v not in support:
-                return False, f"edge {idx}: sign on {v}, not in the edge"
-    indeg = o.indegrees(H.n)
-    for v, d in enumerate(indeg):
-        if d > p.k:
-            return False, f"vertex {v}: indegree {d} > {p.k}"
+    m = H.num_edges
+    if len(o.ptr) - 1 != m:
+        raise ValueError(f"orientation covers {len(o.ptr) - 1} edges, hypergraph has {m}")
+    H.validate_sizes(p)
+    span = max(H.n, 1)
+    owner, signed = o.row_of, o.verts
+    keys = owner * span + signed
+    repeated = np.zeros(m, dtype=bool)
+    repeated[owner[1:][(keys[1:] == keys[:-1]) & (owner[1:] == owner[:-1])]] = True
+    miscount = o.sizes != H.sign_demands(p)
+    # edge-major ball keys are sorted, so membership is one searchsorted;
+    # the -1 pad answers keys past the end
+    support = np.append(H.row_of * span + H.verts, -1)
+    found = support[np.searchsorted(support[:-1], keys)] == keys
+    off = (signed < 0) | (signed >= H.n) | ~found
+    off_edge = np.zeros(m, dtype=bool)
+    off_edge[owner[off]] = True
+    bad = repeated | miscount | off_edge
+    if bad.any():
+        i = int(np.argmax(bad))
+        if repeated[i]:
+            return False, f"edge {i}: repeated sign"
+        if miscount[i]:
+            return False, f"edge {i}: {o.sizes[i]} signs, needs {H.sign_demands(p)[i]}"
+        v = int(signed[np.flatnonzero(off & (owner == i))[0]])
+        return False, f"edge {i}: sign on {v}, not in the edge"
+    indeg = np.bincount(signed, minlength=H.n)
+    over = np.flatnonzero(indeg > p.k)
+    if len(over):
+        v = int(over[0])
+        return False, f"vertex {v}: indegree {indeg[v]} > {p.k}"
     return True, ""
 
 
@@ -252,74 +308,6 @@ def check_property_T(H: Hypergraph, p: OrientationParams) -> bool:
     if res.core.num_edges == 0 or res.core.n == 0:
         return True
     return w_density(res.core, p) <= p.k
-
-
-def check_property_A(
-    H: Hypergraph, gamma: float, p: OrientationParams, max_n: int = 20
-) -> bool:
-    """Exhaustively test the small-set sparsity condition: every nonempty S
-    with |S| < gamma*n has rho(S) < k|S|/(2w).  Exponential in n."""
-    if H.n > max_n:
-        raise ValueError(f"brute-force property check capped at n={max_n}")
-    limit = gamma * H.n
-    for size in range(1, H.n + 1):
-        if size >= limit:
-            break
-        for S in combinations(range(H.n), size):
-            st = subset_stats(H, S, p)
-            if st.rho * 2 * p.w >= p.k * size:
-                return False
-    return True
-
-
-class DeterministicConditions(NamedTuple):
-    """Truth values of the four structural inequalities tested on a subset
-    whose complement would have to absorb the flow.  Used as test oracles."""
-
-    dense_complement: bool  # rho(S̄) > k|S̄|/w
-    light_contact: bool  # nu(S) < k|S|
-    shrink_dominates: bool  # (h-w)·rho(S) > d(S) - k|S|
-    thin_boundary: bool | None  # eta(S) < h²·delta·k|S|, if delta given
-
-
-def check_deterministic_conditions(
-    H: Hypergraph,
-    S: Iterable[int],
-    p: OrientationParams,
-    delta: float | None = None,
-) -> DeterministicConditions:
-    Sset = frozenset(S)
-    comp = frozenset(range(H.n)) - Sset
-    st = subset_stats(H, Sset, p)
-    st_c = subset_stats(H, comp, p)
-    size = len(Sset)
-    d_S = st.d_S
-    c1 = st_c.rho * p.w > p.k * len(comp)
-    c2 = st.nu < p.k * size
-    c3 = (p.h - p.w) * st.rho > d_S - p.k * size
-    c4 = None
-    if delta is not None:
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        c4 = st.eta < p.h * p.h * delta * p.k * size
-    return DeterministicConditions(c1, c2, c3, c4)
-
-
-def expansion_condition(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> bool:
-    """dstar(S) >= k|S| + (total sign demand) - k·n.
-
-    Holding for every S is equivalent to every w-induced subgraph having
-    density <= k, which is the orientability certificate on simple edges.
-    """
-    st = subset_stats(H, S, p)
-    total_demand = sum(p.sign_demand(len(e)) for e in H.edges)
-    return st.dstar >= p.k * len(st.S) + total_demand - p.k * H.n
-
-
-def recommended_gamma(p: OrientationParams) -> float:
-    """Small-set cutoff e^-4 h^-6 / 4 under which the sparsity property is
-    provable for the random model."""
-    return math.exp(-4) / (4 * p.h ** 6)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def sample_uniform_multi(n: int, m: int, h: int, rng: np.random.Generator) -> Hy
         raise ValueError(f"need at least one vertex, got n={n}")
     draws = rng.integers(0, n, size=(m, h))
     draws.sort(axis=1)
-    return Hypergraph(n, [tuple(int(v) for v in row) for row in draws])
+    return Hypergraph(n, draws)
 
 
 def sample_uniform_simple(
@@ -140,12 +140,9 @@ def sample_nonuniform_multi(
     """Per-size uniform multi-edges: exactly counts[s] edges of each size s."""
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    edges: list[tuple[int, ...]] = []
-    for s, c in m_vec.counts:
-        draws = rng.integers(0, n, size=(c, s))
-        draws.sort(axis=1)
-        edges.extend(tuple(int(v) for v in row) for row in draws)
-    return Hypergraph(n, edges)
+    blocks = [rng.integers(0, n, size=(c, s)).ravel() for s, c in m_vec.counts]
+    verts = np.concatenate([np.zeros(0, dtype=np.int64), *blocks])
+    return Hypergraph(n, ptr=_size_ptr(m_vec), verts=verts)
 
 
 def sample_truncated_degree_sequence(
@@ -199,11 +196,12 @@ def sample_core_model(
     degrees = sample_truncated_degree_sequence(n, D, k, rng)
     slots = np.repeat(np.arange(n), degrees)
     order = rng.permutation(D)
-    shuffled = slots[order]
-    edges: list[tuple[int, ...]] = []
-    pos = 0
-    for s, c in m_vec.counts:
-        for _ in range(c):
-            edges.append(tuple(sorted(int(v) for v in shuffled[pos : pos + s])))
-            pos += s
-    return Hypergraph(n, edges)
+    return Hypergraph(n, ptr=_size_ptr(m_vec), verts=slots[order])
+
+
+def _size_ptr(m_vec: EdgeCountVector) -> np.ndarray:
+    """Edge offsets for counts[s] consecutive edges of each size s, in
+    EdgeCountVector order."""
+    size_count = np.asarray(m_vec.counts, dtype=np.int64).reshape(-1, 2)
+    sizes = np.repeat(size_count[:, 0], size_count[:, 1])
+    return np.concatenate(([0], np.cumsum(sizes)))

@@ -8,20 +8,24 @@ the ball chosen at the moment an edge dies earns the edge's last sign — so a
 fully peeled edge hands out exactly its total sign demand, and a surviving
 edge of residual size h-j has handed out exactly j of them.
 
-Two modes compute the identical core:
+Two modes compute the identical core (the (w,k+1)-core is the unique
+maximal set of minimum degree k+1, so removal order cannot change it):
 
-* deterministic — FIFO queue of light vertices, each popped vertex removed
-  wholesale.  Production path, linear time.
+* deterministic — round-parallel: every light vertex leaves at once, each
+  hit edge grants min(removed balls, remaining demand) signs in ball order,
+  and the round's dying edges then free their other balls unsigned
+  (Jiang, Mitzenmacher & Thaler, "Parallel peeling algorithms", SPAA
+  2014).  Production path, vectorised over numpy arrays.
 * randomized — one uniformly random light *ball* per step, matching the
   idealized random process the ODE models; this is the mode that can emit a
-  ProcessTrace.
+  ProcessTrace.  It stays a scalar loop over Python lists.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, TextIO
 
 import numpy as np
@@ -102,28 +106,137 @@ class ProcessTrace:
             fh.write(",".join(f"{data[c][i]:.10g}" for c in cols) + "\n")
 
 
-@dataclass(frozen=True)
+def _groups(keys: np.ndarray, values: np.ndarray, count: int) -> list[tuple[int, ...]]:
+    """values grouped by key 0..count-1, keeping their order within a group."""
+    order = np.argsort(keys, kind="stable")
+    flat = values[order].tolist()
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=count)))).tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _balls_by_vertex(verts: np.ndarray) -> np.ndarray:
+    """Ball ids ordered by vertex, ascending ball id within a vertex (a
+    stable argsort, done as one sort of unique keys because that is faster)."""
+    D = len(verts)
+    return np.sort(verts * D + np.arange(D)) % max(D, 1)
+
+
+def _row_entries(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges ptr[r]:ptr[r+1] of the given CSR rows."""
+    starts = ptr[rows]
+    lens = ptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
+
+
+@dataclass(frozen=True, eq=False)
 class PeelResult:
     """Outcome of peeling: the core (vertices relabeled, rank i of
     core_vertices becomes id i), who got signed for what along the way, and
-    what became of each original edge."""
+    what became of each original edge.
+
+    The arrays are the record; the tuple views (``core_vertices``,
+    ``elimination``, ``edge_fate``, ``peel_signs``) are built on first use.
+    An elimination step is one removed vertex (deterministic) or one removed
+    ball (randomized); every granted sign belongs to one step.
+    """
 
     source: Hypergraph
     core: Hypergraph
-    core_vertices: tuple[int, ...]
-    # (vertex, edge ids it was signed for at that step), in removal order
-    elimination: tuple[tuple[int, tuple[int, ...]], ...]
-    # per original edge: (core edge id, residual size), or None if removed
-    edge_fate: tuple[Optional[tuple[int, int]], ...]
-    # per original edge: vertices signed during peeling, in grant order
-    peel_signs: tuple[tuple[int, ...], ...]
+    core_ids: np.ndarray  # original ids of the core vertices, ascending
+    step_vertex: np.ndarray  # vertex removed at each elimination step
+    sign_step: np.ndarray  # per granted sign, in grant order: its step
+    sign_edge: np.ndarray  # ... and the original edge it signs
+    residual: np.ndarray  # per original edge: alive balls, 0 once removed
     trace: Optional[ProcessTrace] = None
 
+    @cached_property
+    def core_vertices(self) -> tuple[int, ...]:
+        return tuple(self.core_ids.tolist())
 
-class _Peeler:
-    """Shared mutable state for both peeling modes.
+    @cached_property
+    def elimination(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(vertex, edge ids it was signed for at that step), in removal order."""
+        edges = _groups(self.sign_step, self.sign_edge, len(self.step_vertex))
+        return tuple(zip(self.step_vertex.tolist(), edges))
 
-    Balls are numbered in edge order; all structures are flat lists.  Trace
+    @cached_property
+    def edge_fate(self) -> tuple[Optional[tuple[int, int]], ...]:
+        """Per original edge: (core edge id, residual size), or None if removed."""
+        alive = self.residual > 0
+        cid = (np.cumsum(alive) - 1).tolist()
+        return tuple(
+            (c, r) if r else None for c, r in zip(cid, self.residual.tolist())
+        )
+
+    @cached_property
+    def peel_signs(self) -> tuple[tuple[int, ...], ...]:
+        """Per original edge: vertices signed during peeling, in grant order."""
+        signed = self.step_vertex[self.sign_step]
+        return tuple(_groups(self.sign_edge, signed, self.source.num_edges))
+
+
+def _harvest(H, in_core, ball_alive, residual, step_vertex, sign_step, sign_edge, trace):
+    """Relabel the surviving balls into the core and wrap up the record."""
+    core_ids = np.flatnonzero(in_core)
+    rank = np.cumsum(in_core) - 1
+    ptr = np.concatenate(([0], np.cumsum(residual[residual > 0])))
+    core = Hypergraph(len(core_ids), ptr=ptr, verts=rank[H.verts[ball_alive]])
+    return PeelResult(
+        H, core, core_ids, step_vertex, sign_step, sign_edge, residual, trace
+    )
+
+
+def _peel_rounds(H: Hypergraph, p: OrientationParams) -> PeelResult:
+    """Deterministic round-parallel peel (see the module docstring)."""
+    H.validate_sizes(p)
+    n, floor, k = H.n, p.h - p.w, p.k
+    verts, edge_of = H.verts, H.row_of
+    by_vertex = _balls_by_vertex(verts)
+    deg = np.bincount(verts, minlength=n)
+    vptr = np.concatenate(([0], np.cumsum(deg)))
+    size = H.sizes.copy()
+    ball = np.ones(len(verts), dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    empty = np.zeros(0, dtype=np.int64)
+    removed, granted = [empty], [empty]
+    light = np.flatnonzero(deg <= k)
+    while len(light):
+        alive[light] = False
+        removed.append(light)
+        gone = by_vertex[_row_entries(vptr, light)]
+        gone = np.sort(gone[ball[gone]])
+        ball[gone] = False
+        hit = edge_of[gone]
+        first = np.flatnonzero(np.diff(hit, prepend=-1))
+        counts = np.diff(np.append(first, len(hit)))
+        edges = hit[first]
+        # the first min(count, remaining demand) removed balls of an edge sign
+        place = np.arange(len(hit)) - np.repeat(first, counts)
+        granted.append(gone[place < np.repeat(size[edges] - floor, counts)])
+        size[edges] -= counts
+        dying = edges[size[edges] <= floor]
+        freed = _row_entries(H.ptr, dying)
+        freed = freed[ball[freed]]
+        ball[freed] = False
+        deg -= np.bincount(verts[freed], minlength=n)
+        touched = np.unique(verts[freed])
+        light = touched[alive[touched] & (deg[touched] <= k)]
+    step_vertex = np.concatenate(removed)
+    step_of = np.zeros(n, dtype=np.int64)
+    step_of[step_vertex] = np.arange(len(step_vertex))
+    signs = np.concatenate(granted)
+    residual = np.where(size > floor, size, 0)
+    return _harvest(
+        H, alive, ball, residual, step_vertex, step_of[verts[signs]], edge_of[signs], None
+    )
+
+
+class _RandomPeeler:
+    """State of the randomized one-ball-per-step peel.
+
+    Balls are numbered in edge order; the loop runs on flat Python lists
+    (scalar numpy indexing would be slower), set up from the arrays.  Trace
     counters are maintained incrementally: B/L per size class move when an
     edge shrinks, and a heavy vertex turning light migrates all its alive
     balls into the light census at once.
@@ -133,54 +246,42 @@ class _Peeler:
         H.validate_sizes(p)
         self.H = H
         self.p = p
-        n = H.n
-        self.ball_vertex: list[int] = []
-        self.ball_edge: list[int] = []
-        self.edge_balls: list[list[int]] = []
-        self.vertex_balls: list[list[int]] = [[] for _ in range(n)]
-        for ei, e in enumerate(H.edges):
-            ids = []
-            for v in e:
-                b = len(self.ball_vertex)
-                self.ball_vertex.append(v)
-                self.ball_edge.append(ei)
-                self.vertex_balls[v].append(b)
-                ids.append(b)
-            self.edge_balls.append(ids)
-        D = len(self.ball_vertex)
+        verts, sizes = H.verts, H.sizes
+        deg = np.bincount(verts, minlength=H.n)
+        light = deg <= p.k
+        ball_light = light[verts]
+        self.ball_vertex = verts.tolist()
+        self.ball_edge = H.row_of.tolist()
+        self.ptr = H.ptr.tolist()
+        self.by_vertex = _balls_by_vertex(verts).tolist()
+        self.vptr = np.concatenate(([0], np.cumsum(deg))).tolist()
+        D = len(verts)
         self.ball_alive = [True] * D
-        self.esize = [len(e) for e in H.edges]
-        self.edge_alive = [True] * len(H.edges)
-        self.deg = [len(bs) for bs in self.vertex_balls]
-        k = p.k
-        self.is_light = [d <= k for d in self.deg]
+        self.esize = sizes.tolist()
+        self.deg = deg.tolist()
+        self.is_light = light.tolist()
 
         # census counters
+        edge_light = np.bincount(H.row_of[ball_light], minlength=H.num_edges)
+        self.edge_light = edge_light.tolist()
         self.B = D
-        self.B_by_size = {s: 0 for s in range(p.h - p.w + 1, p.h + 1)}
-        self.L_by_size = dict(self.B_by_size)
-        self.edge_light = [0] * len(H.edges)
-        for ei, e in enumerate(H.edges):
-            s = self.esize[ei]
-            self.B_by_size[s] += s
-            nl = sum(1 for v in e if self.is_light[v])
-            self.edge_light[ei] = nl
-            self.L_by_size[s] += nl
-        self.L = sum(self.L_by_size.values())
-        self.HV = sum(1 for lt in self.is_light if not lt)
-        self.A = sum(
-            1 for v in range(n) if not self.is_light[v] and self.deg[v] == k + 1
-        )
+        self.B_by_size, self.L_by_size = {}, {}
+        for s in range(p.h - p.w + 1, p.h + 1):
+            self.B_by_size[s] = s * int(np.count_nonzero(sizes == s))
+            self.L_by_size[s] = int(edge_light[sizes == s].sum())
+        self.L = int(ball_light.sum())
+        self.HV = int(np.count_nonzero(~light))
+        self.A = int(np.count_nonzero(deg == p.k + 1))
 
-        # per-edge signs granted so far, and the removal log
-        self.signs: list[list[int]] = [[] for _ in range(len(H.edges))]
-        self.elimination: list[tuple[int, tuple[int, ...]]] = []
+        # the removal log: one (vertex, edge) per step, each step one sign
+        self.step_vertex: list[int] = []
+        self.step_edge: list[int] = []
 
-        # light-ball pool with O(1) removal (randomized mode)
-        self.pool: list[int] = []
-        self.pool_pos = [-1] * D
-
-        self.newly_light: list[int] = []  # migration queue hook for det mode
+        # light-ball pool with O(1) removal, filled in ball order
+        self.pool = np.flatnonzero(ball_light).tolist()
+        pool_pos = np.full(D, -1, dtype=np.int64)
+        pool_pos[self.pool] = np.arange(len(self.pool))
+        self.pool_pos = pool_pos.tolist()
 
     # -- pool helpers ------------------------------------------------------
 
@@ -197,11 +298,6 @@ class _Peeler:
         self.pool_pos[last] = i
         self.pool.pop()
         self.pool_pos[b] = -1
-
-    def fill_pool(self) -> None:
-        for b in range(len(self.ball_vertex)):
-            if self.ball_alive[b] and self.is_light[self.ball_vertex[b]]:
-                self.pool_add(b)
 
     # -- state transitions -------------------------------------------------
 
@@ -241,8 +337,7 @@ class _Peeler:
             self.A -= 1
             self.HV -= 1
             self.is_light[v] = True
-            self.newly_light.append(v)
-            for b in self.vertex_balls[v]:
+            for b in self.by_vertex[self.vptr[v] : self.vptr[v + 1]]:
                 if self.ball_alive[b]:
                     ei = self.ball_edge[b]
                     cls = self.esize[ei]
@@ -254,58 +349,17 @@ class _Peeler:
     def remove_edge(self, ei: int, cls: int) -> None:
         """Delete edge ei whose remaining alive balls sit in class cls; the
         freed balls are unsigned and their bins lose degree."""
-        self.edge_alive[ei] = False
-        freed = [b for b in self.edge_balls[ei] if self.ball_alive[b]]
+        freed = [b for b in range(self.ptr[ei], self.ptr[ei + 1]) if self.ball_alive[b]]
         for b in freed:
             self.kill_ball(b, cls)
         self.esize[ei] = 0
         for b in freed:
             self.drop_degree(self.ball_vertex[b])
 
-    # -- the two peeling loops ----------------------------------------------
+    # -- the peeling loop ----------------------------------------------------
 
-    def run_deterministic(self) -> None:
+    def run(self, rng: np.random.Generator, trace: Optional[ProcessTrace]) -> None:
         floor = self.p.h - self.p.w
-        queue = deque(v for v in range(self.H.n) if self.is_light[v])
-        processed = [False] * self.H.n
-        while queue:
-            while self.newly_light:
-                queue.append(self.newly_light.pop())
-            if not queue:
-                break
-            v = queue.popleft()
-            if processed[v]:
-                continue
-            processed[v] = True
-            by_edge: dict[int, list[int]] = {}
-            for b in self.vertex_balls[v]:
-                if self.ball_alive[b]:
-                    by_edge.setdefault(self.ball_edge[b], []).append(b)
-            granted: list[int] = []
-            for ei, balls in by_edge.items():
-                s = self.esize[ei]
-                c = len(balls)
-                demand = s - floor  # signs the edge still owes
-                for _ in range(min(c, demand)):
-                    self.signs[ei].append(v)
-                    granted.append(ei)
-                for b in balls:
-                    self.kill_ball(b, s)
-                self.deg[v] -= c
-                if s - c > floor:
-                    self.esize[ei] = s - c
-                    self.shift_class(ei, s, s - c)
-                else:
-                    self.esize[ei] = s - c  # transiently, for remove_edge
-                    self.remove_edge(ei, s)
-            self.elimination.append((v, tuple(granted)))
-            while self.newly_light:
-                queue.append(self.newly_light.pop())
-
-    def run_randomized(self, rng: np.random.Generator, trace: Optional[ProcessTrace]) -> None:
-        floor = self.p.h - self.p.w
-        self.fill_pool()
-        self.newly_light.clear()
         t = 0
         if trace is not None:
             self.record(trace, t)
@@ -323,8 +377,8 @@ class _Peeler:
             v = self.ball_vertex[b]
             ei = self.ball_edge[b]
             s = self.esize[ei]
-            self.signs[ei].append(v)
-            self.elimination.append((v, (ei,)))
+            self.step_vertex.append(v)
+            self.step_edge.append(ei)
             self.kill_ball(b, s)
             self.deg[v] -= 1
             self.esize[ei] = s - 1
@@ -346,29 +400,17 @@ class _Peeler:
             trace.B_by_size[s].append(self.B_by_size[s])
             trace.L_by_size[s].append(self.L_by_size[s])
 
-    # -- harvest -------------------------------------------------------------
-
     def result(self, trace: Optional[ProcessTrace]) -> PeelResult:
-        core_vertices = tuple(v for v in range(self.H.n) if not self.is_light[v])
-        rank = {v: i for i, v in enumerate(core_vertices)}
-        core_edges = []
-        fate: list[Optional[tuple[int, int]]] = []
-        for ei in range(len(self.H.edges)):
-            if self.edge_alive[ei]:
-                balls = [b for b in self.edge_balls[ei] if self.ball_alive[b]]
-                core_edges.append(tuple(sorted(rank[self.ball_vertex[b]] for b in balls)))
-                fate.append((len(core_edges) - 1, len(balls)))
-            else:
-                fate.append(None)
-        core = Hypergraph(len(core_vertices), core_edges)
-        return PeelResult(
-            source=self.H,
-            core=core,
-            core_vertices=core_vertices,
-            elimination=tuple(self.elimination),
-            edge_fate=tuple(fate),
-            peel_signs=tuple(tuple(s) for s in self.signs),
-            trace=trace,
+        steps = len(self.step_vertex)
+        return _harvest(
+            self.H,
+            ~np.asarray(self.is_light, dtype=bool),
+            np.asarray(self.ball_alive, dtype=bool),
+            np.asarray(self.esize, dtype=np.int64),
+            np.asarray(self.step_vertex, dtype=np.int64),
+            np.arange(steps),
+            np.asarray(self.step_edge, dtype=np.int64),
+            trace,
         )
 
 
@@ -381,37 +423,35 @@ def rancore(
 ) -> PeelResult:
     """Peel H down to its (w, k+1)-core.
 
-    mode="deterministic" uses the FIFO vertex queue; mode="randomized"
+    mode="deterministic" peels in parallel rounds; mode="randomized"
     removes one uniform light ball per step (rng required) and, with
     trace=True, samples the process census every ceil(n/1000) steps.
     """
-    state = _Peeler(H, p)
     if mode == "deterministic":
         if trace:
             raise ValueError("process traces require the randomized mode")
-        state.run_deterministic()
-        tr = None
-    elif mode == "randomized":
-        if rng is None:
-            raise ValueError("randomized mode needs an rng")
-        tr = None
-        if trace:
-            stride = max(1, -(-H.n // 1000))
-            tr = ProcessTrace(
-                n_bar=H.n,
-                params=p,
-                stride=stride,
-                steps=[],
-                B=[],
-                L=[],
-                HV=[],
-                A=[],
-                B_by_size={s: [] for s in range(p.h - p.w + 1, p.h + 1)},
-                L_by_size={s: [] for s in range(p.h - p.w + 1, p.h + 1)},
-            )
-        state.run_randomized(rng, tr)
-    else:
+        return _peel_rounds(H, p)
+    if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
+    if rng is None:
+        raise ValueError("randomized mode needs an rng")
+    state = _RandomPeeler(H, p)
+    tr = None
+    if trace:
+        stride = max(1, -(-H.n // 1000))
+        tr = ProcessTrace(
+            n_bar=H.n,
+            params=p,
+            stride=stride,
+            steps=[],
+            B=[],
+            L=[],
+            HV=[],
+            A=[],
+            B_by_size={s: [] for s in range(p.h - p.w + 1, p.h + 1)},
+            L_by_size={s: [] for s in range(p.h - p.w + 1, p.h + 1)},
+        )
+    state.run(rng, tr)
     return state.result(tr)
 
 

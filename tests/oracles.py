@@ -1,17 +1,24 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately written in the most direct style possible
-(exhaustive enumeration, plain BFS augmenting paths, mpmath series) so that
-agreement with the package is meaningful.  Nothing imports from wkorient.
+(exhaustive enumeration, plain BFS augmenting paths, mpmath series, tuple
+loops) so that agreement with the package is meaningful.  Nothing imports
+from wkorient.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import combinations
+from typing import Iterable, NamedTuple
 
 import mpmath
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +102,141 @@ def subset_stats_recount(edges, n: int, h: int, w: int, S):
 
 
 # ---------------------------------------------------------------------------
+# subset censuses and structural predicates on a Hypergraph H (vertex count
+# H.n, sorted edge tuples H.edges) under OrientationParams p
+# ---------------------------------------------------------------------------
+
+class SubsetStats(NamedTuple):
+    """One-pass counts for a vertex subset S.
+
+    m_table[(s, i)] counts size-s edges with exactly i of their balls in S
+    (i >= 1 only); q[s] is the degree contribution of size-s edges to d_S;
+    dstar is d_S minus the over-demand sum, the expansion functional.
+    """
+
+    S: frozenset
+    d_S: int
+    m_table: dict
+    rho: int
+    nu: int
+    eta: int
+    q: dict
+    dstar: int
+
+
+def subset_stats(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> SubsetStats:
+    Sset = frozenset(S)
+    if any(v < 0 or v >= H.n for v in Sset):
+        raise ValueError("subset contains vertices outside the hypergraph")
+    H.validate_sizes(p)
+    d_S = 0
+    m_table: dict[tuple[int, int], int] = {}
+    rho = nu = eta = 0
+    q: dict[int, int] = {}
+    over = 0  # sum over edges of max(0, i - sign_demand) clipped per the table
+    for e in H.edges:
+        s = len(e)
+        i = sum(1 for v in e if v in Sset)
+        if i == 0:
+            continue
+        d_S += i
+        m_table[(s, i)] = m_table.get((s, i), 0) + 1
+        q[s] = q.get(s, 0) + i
+        nu += 1
+        if i >= 2:
+            rho += 1
+        if i < s:
+            eta += 1
+        demand = p.sign_demand(s)
+        if i > demand:
+            over += i - demand
+    return SubsetStats(Sset, d_S, m_table, rho, nu, eta, q, d_S - over)
+
+
+def check_property_A(
+    H: Hypergraph, gamma: float, p: OrientationParams, max_n: int = 20
+) -> bool:
+    """Exhaustively test the small-set sparsity condition: every nonempty S
+    with |S| < gamma*n has rho(S) < k|S|/(2w).  Exponential in n."""
+    if H.n > max_n:
+        raise ValueError(f"brute-force property check capped at n={max_n}")
+    limit = gamma * H.n
+    for size in range(1, H.n + 1):
+        if size >= limit:
+            break
+        for S in combinations(range(H.n), size):
+            st = subset_stats(H, S, p)
+            if st.rho * 2 * p.w >= p.k * size:
+                return False
+    return True
+
+
+class DeterministicConditions(NamedTuple):
+    """Truth values of the four structural inequalities tested on a subset
+    whose complement would have to absorb the flow.  Used as test oracles."""
+
+    dense_complement: bool  # rho(S̄) > k|S̄|/w
+    light_contact: bool  # nu(S) < k|S|
+    shrink_dominates: bool  # (h-w)·rho(S) > d(S) - k|S|
+    thin_boundary: bool | None  # eta(S) < h²·delta·k|S|, if delta given
+
+
+def check_deterministic_conditions(
+    H: Hypergraph,
+    S: Iterable[int],
+    p: OrientationParams,
+    delta: float | None = None,
+) -> DeterministicConditions:
+    Sset = frozenset(S)
+    comp = frozenset(range(H.n)) - Sset
+    st = subset_stats(H, Sset, p)
+    st_c = subset_stats(H, comp, p)
+    size = len(Sset)
+    d_S = st.d_S
+    c1 = st_c.rho * p.w > p.k * len(comp)
+    c2 = st.nu < p.k * size
+    c3 = (p.h - p.w) * st.rho > d_S - p.k * size
+    c4 = None
+    if delta is not None:
+        if delta <= 0:
+            raise ValueError(f"delta must be positive, got {delta}")
+        c4 = st.eta < p.h * p.h * delta * p.k * size
+    return DeterministicConditions(c1, c2, c3, c4)
+
+
+def expansion_condition(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> bool:
+    """dstar(S) >= k|S| + (total sign demand) - k·n.
+
+    Holding for every S is equivalent to every w-induced subgraph having
+    density <= k, which is the orientability certificate on simple edges.
+    """
+    st = subset_stats(H, S, p)
+    total_demand = sum(p.sign_demand(len(e)) for e in H.edges)
+    return st.dstar >= p.k * len(st.S) + total_demand - p.k * H.n
+
+
+def recommended_gamma(p: OrientationParams) -> float:
+    """Small-set cutoff e^-4 h^-6 / 4 under which the sparsity property is
+    provable for the random model."""
+    return math.exp(-4) / (4 * p.h ** 6)
+
+
+def hakimi_check(H: Hypergraph, p: OrientationParams, max_n: int = 20) -> bool:
+    """Exhaustive density test: kappa(w-induced on S) <= k for every S.
+
+    On simple-edge instances this is exactly orientability; an edge with
+    fewer distinct vertices than its sign demand is a trivial obstruction
+    checked first (the density criterion cannot see multiplicities).
+    """
+    if H.n > max_n:
+        raise ValueError(f"exhaustive density check capped at n={max_n}")
+    for e in H.edges:
+        if len(set(e)) < p.sign_demand(len(e)):
+            return False
+    return all_subsets_kappa_ok(H.edges, H.n, p.h, p.w, p.k)
+
+
+# ---------------------------------------------------------------------------
 # brute-force core: maximal S whose w-induced subgraph has min degree >= k+1
 # ---------------------------------------------------------------------------
 
@@ -118,6 +260,154 @@ def brute_force_core(edges, n: int, h: int, w: int, k: int):
     core_edges = tuple(sorted(tuple(sorted(e))
                               for e in w_induced(edges, core_vs, h, w)))
     return sorted(core_vs), core_edges
+
+
+# ---------------------------------------------------------------------------
+# sequential FIFO peel: one light vertex at a time, removed wholesale
+# ---------------------------------------------------------------------------
+
+class FifoPeel(NamedTuple):
+    core_vertices: tuple
+    core_edges: tuple  # surviving edges in source order, relabeled by rank
+    edge_fate: tuple  # (core edge id, residual size) or None per edge
+    peel_signs: tuple  # per edge, signed vertices in grant order
+    elimination: tuple  # (vertex, edge ids it signed), in removal order
+
+
+def fifo_peel(edges, n: int, h: int, w: int, k: int) -> FifoPeel:
+    """Peel with a FIFO queue of light vertices.  A popped vertex loses all
+    its alive balls; each of its edges grants it min(its balls there, the
+    demand still owed) signs; an edge left with h-w balls dies and frees its
+    other balls unsigned, which can turn their vertices light."""
+    edges = [tuple(sorted(e)) for e in edges]
+    floor = h - w
+    ball_vertex, ball_edge, edge_balls = [], [], []
+    vertex_balls = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        edge_balls.append([])
+        for v in e:
+            b = len(ball_vertex)
+            ball_vertex.append(v)
+            ball_edge.append(ei)
+            vertex_balls[v].append(b)
+            edge_balls[ei].append(b)
+    ball_alive = [True] * len(ball_vertex)
+    esize = [len(e) for e in edges]
+    deg = [len(bs) for bs in vertex_balls]
+    light = [d <= k for d in deg]
+    signs = [[] for _ in edges]
+    elimination = []
+    queue = deque(v for v in range(n) if light[v])
+    processed = [False] * n
+    while queue:
+        v = queue.popleft()
+        if processed[v]:
+            continue
+        processed[v] = True
+        by_edge: dict = {}
+        for b in vertex_balls[v]:
+            if ball_alive[b]:
+                by_edge.setdefault(ball_edge[b], []).append(b)
+        granted, newly_light = [], []
+        for ei, balls in by_edge.items():
+            s, c = esize[ei], len(balls)
+            for _ in range(min(c, s - floor)):
+                signs[ei].append(v)
+                granted.append(ei)
+            for b in balls:
+                ball_alive[b] = False
+            deg[v] -= c
+            esize[ei] = s - c
+            if s - c <= floor:
+                esize[ei] = 0
+                for b in edge_balls[ei]:
+                    if ball_alive[b]:
+                        ball_alive[b] = False
+                        u = ball_vertex[b]
+                        deg[u] -= 1
+                        if not light[u] and deg[u] <= k:
+                            light[u] = True
+                            newly_light.append(u)
+        elimination.append((v, tuple(granted)))
+        queue.extend(reversed(newly_light))
+    core_vertices = tuple(v for v in range(n) if not light[v])
+    rank = {v: i for i, v in enumerate(core_vertices)}
+    core_edges, fate = [], []
+    for ei in range(len(edges)):
+        if esize[ei] == 0:
+            fate.append(None)
+            continue
+        kept = tuple(sorted(rank[ball_vertex[b]] for b in edge_balls[ei] if ball_alive[b]))
+        core_edges.append(kept)
+        fate.append((len(core_edges) - 1, len(kept)))
+    return FifoPeel(
+        core_vertices, tuple(core_edges), tuple(fate),
+        tuple(tuple(s) for s in signs), tuple(elimination),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the flow network arc by arc, and the decision read back through dicts
+# ---------------------------------------------------------------------------
+
+def tuple_network(edges, n: int, h: int, w: int, k: int) -> csr_matrix:
+    """Capacity matrix: source 0 -> edge node 1+i (its sign demand), edge
+    node -> vertex node 1+m+v for each distinct vertex (1), vertex node ->
+    sink m+n+1 (k); assembled from coordinate lists."""
+    m = len(edges)
+    rows, cols, caps = [], [], []
+    for i, e in enumerate(edges):
+        rows.append(0)
+        cols.append(1 + i)
+        caps.append(sign_demand(h, w, len(e)))
+        for v in sorted(set(e)):
+            rows.append(1 + i)
+            cols.append(1 + m + v)
+            caps.append(1)
+    for v in range(n):
+        rows.append(1 + m + v)
+        cols.append(m + n + 1)
+        caps.append(k)
+    size = m + n + 2
+    return csr_matrix((np.asarray(caps, dtype=np.int32), (rows, cols)), shape=(size, size))
+
+
+def dict_orient(edges, n: int, h: int, w: int, k: int):
+    """("signs", per-edge sorted sign tuples) when scipy's max flow
+    saturates the source, else ("witness", S, kappa_S, degenerate edge):
+    S is the vertex side of the residual-reachable set, found by a DFS
+    over dicts."""
+    edges = [tuple(sorted(e)) for e in edges]
+    for i, e in enumerate(edges):
+        if len(set(e)) < sign_demand(h, w, len(e)):
+            return ("witness", (), None, i)
+    m = len(edges)
+    cap = tuple_network(edges, n, h, w, k)
+    res = maximum_flow(cap, 0, m + n + 1)
+    coo = res.flow.tocoo()
+    fmap = {(int(i), int(j)): int(f) for i, j, f in zip(coo.row, coo.col, coo.data) if f > 0}
+    if res.flow_value == sum(sign_demand(h, w, len(e)) for e in edges):
+        return ("signs", tuple(
+            tuple(v for v in sorted(set(e)) if fmap.get((1 + i, 1 + m + v), 0) >= 1)
+            for i, e in enumerate(edges)
+        ))
+    nxt: dict = {}
+    c = cap.tocoo()
+    for i, j, cc in zip(c.row.tolist(), c.col.tolist(), c.data.tolist()):
+        f = fmap.get((i, j), 0)
+        if cc - f > 0:
+            nxt.setdefault(i, []).append(j)
+        if f > 0:
+            nxt.setdefault(j, []).append(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for v in nxt.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    S = tuple(v for v in range(n) if 1 + m + v in seen)
+    kappa = kappa_exact(w_induced(edges, S, h, w), len(S), h, w) if S else None
+    return ("witness", S, kappa, None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,23 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import brute_force_core, orientation_search
+from oracles import (
+    brute_force_core,
+    expansion_condition,
+    hakimi_check,
+    orientation_search,
+)
 from wkorient.cli import (
     ExperimentConfig,
     core_profile,
     simulate_threshold,
     table1_rows,
 )
-from wkorient.flow import hakimi_check, orient
+from wkorient.flow import orient
 from wkorient.hypergraph import (
     Hypergraph,
     Orientation,
     OrientationParams,
-    expansion_condition,
     verify_orientation,
 )
 from wkorient.models import RngSeed, sample_uniform_multi, sample_uniform_simple

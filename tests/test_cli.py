@@ -265,3 +265,45 @@ def test_table1_survives_row_failures(capsys, monkeypatch):
     assert lines[0].split(",")[:5] == ["h", "w", "k", "mu_tilde", "mu_hat"]
     failed = [ln for ln in lines[1:] if "synthetic failure" in ln]
     assert len(failed) == 1 and failed[0].startswith("10,")
+
+
+# ---------------------------------------------------------------------------
+# seeded output bytes: sha256 and length of each command's output file
+
+
+GOLDEN = {
+    "gen_lo": ("81a4489e065c8652e63a1e218a9f9694b1b64797200995c4731e74f45141bddf", 69569),
+    "gen_hi": ("d5928e06e1f14a45c986812bceb5921a40858a36ce19cb9f8c41aa9e9c25d08c", 81981),
+    "core_hi": ("f2353044922c87e38578b36d15bebd0bb310c1668c488249b3e33065537ac14d", 71809),
+    "orient_lo": ("a86d7b73a5df18079d6bb9572d69e6e3e57c8f0c69f5d6bf0a54468b4c255d9d", 74973),
+    "orient_hi": ("a6634c86a465987be52eeb98b86e005fa60feaf680882fb3f2ea4c8ace035d98", 9374),
+    "orient_hi_json": ("890ca2456fe1aa5235ae47beb51610d3a525dd9003b2a6c1d6c6e8a3dabcd7f5", 19550),
+    "stats_hi_csv": ("a24d4580192ff7f4b41936c4689f1cf1c77925869a0df53ae763f330d94e3e7e", 127),
+    "stats_hi_json": ("5d05948f3160fa1b3b883ae5da8cf6d58505585b37349dea14664a64916607c2", 256),
+    "simulate_json": ("7fb1d8e9988d908506d67b9cd51f741036bbe4bf3a490db567f0581dbc960fc3", 1233),
+}
+
+
+def test_seeded_outputs_are_byte_identical(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.setenv("WKORIENT_WORKERS", "1")
+    hwk = ["--h", "3", "--w", "2", "--k", "4"]
+    lo, hi = str(tmp_path / "gen_lo"), str(tmp_path / "gen_hi")
+    runs = [
+        ("gen_lo", ["gen", "--h", "3", "--n", "3000", "--mu", "5.0", "--seed", "11"], 0),
+        ("gen_hi", ["gen", "--h", "3", "--n", "3000", "--mu", "5.9", "--seed", "12"], 0),
+        ("core_hi", ["core", hi, *hwk], 0),
+        ("orient_lo", ["orient", lo, *hwk], 0),  # orientable
+        ("orient_hi", ["orient", hi, *hwk], 2),  # witness
+        ("orient_hi_json", ["orient", hi, *hwk, "--format", "json"], 2),
+        ("stats_hi_csv", ["stats", hi, *hwk], 0),
+        ("stats_hi_json", ["stats", hi, *hwk, "--format", "json"], 0),
+        ("simulate_json", ["simulate", *hwk, "--n", "2000", "--mu", "5.5",
+                           "--trials", "4", "--seed", "3", "--format", "json"], 0),
+    ]
+    for name, argv, code in runs:
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == code, name
+        data = out.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == GOLDEN[name], name

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    hakimi_check,
     min_max_indegree_search,
     naive_max_flow,
     orientation_search,
@@ -14,7 +15,6 @@ from oracles import (
 from wkorient.flow import (
     CutWitness,
     build_network,
-    hakimi_check,
     max_flow,
     min_max_indegree,
     orient,

@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kappa_exact, subset_stats_recount, w_induced
+from oracles import (
+    check_deterministic_conditions,
+    check_property_A,
+    expansion_condition,
+    kappa_exact,
+    recommended_gamma,
+    subset_stats,
+    subset_stats_recount,
+    w_induced,
+)
 from wkorient.hypergraph import (
     Hypergraph,
     Orientation,
     OrientationParams,
-    check_deterministic_conditions,
-    check_property_A,
     check_property_T,
-    expansion_condition,
     read_hypergraph,
-    recommended_gamma,
-    subset_stats,
     verify_orientation,
     w_density,
     w_induced_subgraph,

@@ -269,3 +269,45 @@ def test_core_statistics_recount(inst):
     assert stats.m_vec.as_dict() == dict(pr.core.edge_size_counts())
     assert stats.kappa == w_density(pr.core, p)
     assert stats.mu_hat == pr.core.total_degree / pr.core.n
+
+
+# ---------------------------------------------------------------------------
+# the randomized process is pinned: ball numbering, pool order and RNG use
+
+
+def _randomized_peel_digest(p, mu, seed, n=2000):
+    import hashlib
+    import json
+
+    from wkorient.models import sample_uniform_multi
+
+    H = sample_uniform_multi(n, round(mu * n / p.h), p.h, RngSeed(seed).generator())
+    pr = rancore(H, p, mode="randomized", rng=RngSeed(seed, 1).generator(), trace=True)
+    doc = [
+        [[v, list(edges)] for v, edges in pr.elimination],
+        [list(s) for s in pr.peel_signs],
+        list(pr.core_vertices),
+        [list(e) for e in pr.core.edges],
+        [None if f is None else list(f) for f in pr.edge_fate],
+    ]
+    digest = hashlib.sha256(json.dumps(doc).encode())
+    scaled = pr.trace.scaled()
+    for key in sorted(scaled):
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(scaled[key], dtype=np.float64).tobytes())
+    return digest.hexdigest(), pr.core.n, pr.core.num_edges, len(pr.elimination)
+
+
+@pytest.mark.parametrize(
+    "hwk,mu,seed,want",
+    [
+        ((3, 2, 4), 5.6, 1,
+         ("08e50b73b2868ef2c0c697538c7429eec0d38b0c2b366e3eec4a8d4f02abee43", 1272, 3345, 2248)),
+        ((4, 2, 3), 6.5, 2,
+         ("58d82909fb35cd49aebca9e26928f6e71f2fb5b1114c7b9e3760f5fef6a8b562", 1772, 3211, 580)),
+    ],
+)
+def test_randomized_peel_is_pinned(hwk, mu, seed, want):
+    # digests of the elimination log, peel signs, core, edge fates and every
+    # scaled trace column, recorded with the original list-based peeler
+    assert _randomized_peel_digest(OrientationParams(*hwk), mu, seed) == want
