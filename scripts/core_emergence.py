@@ -2,7 +2,7 @@
 """Empirical core profile against the numeric prediction across mean degrees.
 
 Walks a mean-degree grid through the core-emergence region and writes both
-the integrated prediction and sampled means for the surviving-vertex
+the fixed-point prediction and sampled means for the surviving-vertex
 fraction, core density, and core mean degree.  The jump from an empty core
 to a macroscopic one is discontinuous in the limit; finite n rounds it off.
 """
@@ -42,10 +42,7 @@ def main(argv=None) -> int:
             )
             rep = core_profile(cfg)
             pred = rep.prediction
-            if pred is None or pred.empty:
-                a_p = k_p = m_p = 0.0
-            else:
-                a_p, k_p, m_p = pred.alpha, pred.kappa, pred.mu_hat
+            a_p, k_p, m_p = pred.alpha, pred.kappa, pred.mu_hat
             writer.writerow([
                 f"{mu_bar:.4f}", f"{a_p:.6f}", f"{rep.mean_alpha:.6f}",
                 f"{k_p:.6f}", f"{rep.mean_kappa:.6f}",

@@ -11,7 +11,7 @@ import time
 
 from wkorient.cli import TABLE1_REFERENCE
 from wkorient.hypergraph import OrientationParams
-from wkorient.ode import BracketError, find_threshold
+from wkorient.ode import BracketError, DomainError, FixedPointError, find_threshold
 
 
 def parse_triple(text: str) -> tuple[int, int, int]:
@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=1e-4, help="bisection width")
     ap.add_argument("--out", default=None, help="also write CSV here")
     args = ap.parse_args(argv)
+    if not args.tol > 0:
+        ap.error("--tol must be positive")
 
     triples = args.triple or [(h, w, k) for h, w, k, _, _ in TABLE1_REFERENCE]
     rows = []
@@ -43,7 +45,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         try:
             res = find_threshold(p, tol=args.tol)
-        except (BracketError, ValueError) as exc:
+        except (BracketError, DomainError, FixedPointError) as exc:
             print(f"{h:>3} {w:>3} {k:>3}  failed: {exc}", file=sys.stderr)
             continue
         dt = time.perf_counter() - t0

@@ -2,8 +2,9 @@
 
 Decide and construct orientations where every size-h hyperedge marks w
 distinct vertices and no vertex is marked more than k times; peel to the
-(w,k+1)-core; and predict core size, density, and the sharp orientability
-threshold by integrating the peeling process's differential equations.
+(w,k+1)-core; predict core size, density, and the sharp orientability
+threshold from the core fixed point; and integrate the peeling process's
+differential equations.
 """
 
 from .hypergraph import (
@@ -56,11 +57,14 @@ from .poisson import (
 from .ode import (
     BracketError,
     CoreStats,
+    DomainError,
+    FixedPointError,
     OdeParams,
     OdeState,
     StiffnessError,
     ThresholdResult,
     Trajectory,
+    core_fixed_point,
     derivatives,
     find_threshold,
     integrate,

@@ -38,7 +38,7 @@ from .hypergraph import (
     write_hypergraph,
 )
 from .models import RngSeed, sample_uniform_multi
-from .ode import CoreStats, OdeParams, find_threshold, integrate
+from .ode import CoreStats, OdeParams, core_fixed_point, find_threshold, integrate
 from .peeling import core_statistics, rancore
 from .poisson import TruncatedPoisson, solve_lambda
 
@@ -400,7 +400,7 @@ def simulate_threshold(
 @dataclasses.dataclass(frozen=True)
 class CoreProfileReport:
     config: ExperimentConfig
-    prediction: Optional[CoreStats]
+    prediction: CoreStats
     records: list
     mean_alpha: float
     mean_beta: dict
@@ -458,13 +458,10 @@ def _truncated_poisson_chi2(
 
 
 def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
-    """Empirical core fractions vs. the integrated prediction, plus a
+    """Empirical core fractions vs. the fixed-point prediction, plus a
     chi-square check of the pooled core degree histogram."""
     p = cfg.params
-    try:
-        _, prediction = integrate(OdeParams(p, cfg.mu_bar))
-    except ValueError:
-        prediction = None  # start outside the domain: predicted empty core
+    prediction = core_fixed_point(p, cfg.mu_bar)
     records = _run_batch(cfg, stream_base=0)
 
     sizes = list(range(p.h, p.min_edge_size - 1, -1))
@@ -480,7 +477,7 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
     def rel(emp: float, ref: float) -> float:
         return abs(emp - ref) / max(abs(ref), 1e-12)
 
-    if prediction is not None and not prediction.empty:
+    if not prediction.empty:
         deviations = {
             "alpha": rel(mean_alpha, prediction.alpha),
             "kappa": rel(mean_kappa, prediction.kappa),
@@ -671,6 +668,16 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _warn_no_core_ending(p: OrientationParams, mu_bar: float, ending: str) -> None:
+    """The ODE reads a core off the z_L ending only; for any other ending
+    say so on stderr, with the fixed point's answer beside it."""
+    alpha = core_fixed_point(p, mu_bar).alpha
+    print(
+        f"wkorient: warning: {ending}; the core fixed point gives alpha={alpha:.9g}",
+        file=sys.stderr,
+    )
+
+
 def _cmd_ode(args) -> int:
     p = OrientationParams(args.h, args.w, args.k)
     kwargs = {}
@@ -681,6 +688,7 @@ def _cmd_ode(args) -> int:
         traj, stats = integrate(params)
     except ValueError as exc:
         # start outside the domain: an honest empty-core report
+        _warn_no_core_ending(p, args.mu, f"integration did not start ({exc})")
         if args.format == "json":
             text = _json_text(
                 "ode",
@@ -694,6 +702,10 @@ def _cmd_ode(args) -> int:
             text = f"# empty core: {exc}\n"
         _write_text(args.out, text)
         return 0
+    if stats.terminated_by != "z_L":
+        _warn_no_core_ending(
+            p, args.mu, f"integration ended at {stats.terminated_by}, not z_L"
+        )
     if args.format == "json":
         text = _json_text(
             "ode",
@@ -825,9 +837,7 @@ def _cmd_core_profile(args) -> int:
             "core-profile",
             {
                 "config": dataclasses.asdict(cfg),
-                "prediction": (
-                    _stats_dict(report.prediction) if report.prediction else None
-                ),
+                "prediction": _stats_dict(report.prediction),
                 "mean_alpha": report.mean_alpha,
                 "mean_beta": {str(s): b for s, b in report.mean_beta.items()},
                 "mean_kappa": report.mean_kappa,
@@ -846,19 +856,11 @@ def _cmd_core_profile(args) -> int:
         header = ["kind", "mu_bar", "alpha"]
         header += [f"beta_{s}" for s in sizes]
         header += ["kappa", "mu_hat", "chi2_pvalue"]
-        rows = []
-        if pred is not None:
-            rows.append(
-                ["prediction", cfg.mu_bar, pred.alpha]
-                + [pred.beta.get(s, 0.0) for s in sizes]
-                + [pred.kappa, pred.mu_hat, None]
-            )
-        else:
-            rows.append(
-                ["prediction", cfg.mu_bar, 0.0]
-                + [0.0 for _ in sizes]
-                + [0.0, 0.0, None]
-            )
+        rows = [
+            ["prediction", cfg.mu_bar, pred.alpha]
+            + [pred.beta.get(s, 0.0) for s in sizes]
+            + [pred.kappa, pred.mu_hat, None]
+        ]
         rows.append(
             ["trial-mean", cfg.mu_bar, report.mean_alpha]
             + [report.mean_beta[s] for s in sizes]

@@ -1,7 +1,16 @@
-"""The peeling-process differential equations, core-size prediction, and
-threshold bisection.
+"""Core prediction, threshold bisection, and the peeling-process
+differential equations.
 
-State vector (w-1 bucket pairs plus three scalars):
+Cores and thresholds come from the closed-form core fixed point
+(`core_fixed_point`): iterate q = P(Po(mu_bar r) >= k) with
+r = P(Bin(h-1, q) >= h-w) down from q = 1 to its largest root and read the
+core's vertex fraction, edge counts per size and density off that root
+(Molloy, RSA 2005; Lelarge, SODA 2012, here with edges that shrink to
+h-w+1 vertices).  `find_threshold` bisects on it.
+
+The ODE draws the process itself: `integrate` follows the light/heavy
+ball buckets as the peel runs, for the `ode` command and for comparison
+with simulated traces.  State vector (w-1 bucket pairs plus three scalars):
 
     y = [zL_{h-1} .. zL_{h-w+1},  zH_{h-1} .. zH_{h-w+1},  z_L, z_B, z_HV]
 
@@ -16,7 +25,8 @@ Integration runs until the first boundary event: z_L hitting 0 (the clean
 ending — the light balls run out and what remains is the core), the heavy
 ball mass or heavy vertex count hitting 0 (core dissolves), or the mean
 heavy degree falling to k+2 (edge of the provable domain; reported, not
-guessed at).
+guessed at).  Only the z_L ending carries a core; the fixed point answers
+for the others.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 from scipy.integrate import solve_ivp
 
 from .hypergraph import OrientationParams
@@ -46,9 +57,12 @@ __all__ = [
     "Trajectory",
     "StiffnessError",
     "BracketError",
+    "DomainError",
+    "FixedPointError",
     "f_star",
     "derivatives",
     "integrate",
+    "core_fixed_point",
     "find_threshold",
     "trajectory_vs_trace",
 ]
@@ -60,6 +74,24 @@ class StiffnessError(RuntimeError):
 
 class BracketError(RuntimeError):
     """Threshold bisection could not find a sign change to bracket."""
+
+
+class DomainError(ValueError):
+    """A mean degree outside (0, inf): the random model is undefined there."""
+
+
+class FixedPointError(RuntimeError):
+    """The core fixed-point iteration did not settle within its cap."""
+
+
+# Far above the iteration count of any point the package evaluates (a few
+# thousand at core emergence, where convergence is slowest).
+MAX_FIXED_POINT_ITERATIONS = 10**6
+
+# Predicted vertex fractions below this are read as the empty core: as
+# q -> 0 alpha underflows towards 1e-169 while the demand ratio kappa blows
+# up towards 1e100.
+EMPTY_CORE_ALPHA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -310,7 +342,9 @@ def derivatives(state: OdeState, params: OdeParams) -> np.ndarray:
 @dataclass(frozen=True)
 class CoreStats:
     """Predicted core: alpha = surviving vertex fraction, beta[s] = edges
-    of size s per initial vertex, kappa/mu_hat its density and mean degree."""
+    of size s per initial vertex, kappa/mu_hat its density and mean degree.
+    terminated_by is "fixed_point" from `core_fixed_point`, or the event
+    that ended `integrate`."""
 
     x_star: float
     alpha: float
@@ -520,6 +554,69 @@ def integrate(
     return traj, stats
 
 
+def core_fixed_point(
+    p: OrientationParams, mu_bar: float, rtol: float = 1e-12, atol: float = 1e-14
+) -> CoreStats:
+    """Predicted (w,k+1)-core of the Poisson(mu_bar)-degree h-uniform model.
+
+    q is the chance that a vertex, seen from one of its edges, survives
+    (keeps k other core edges); r the chance that an edge, seen from one
+    of its vertices, survives (keeps at least h-w other core vertices):
+
+        r = P(Bin(h-1, q) >= h-w),    q = P(Po(mu_bar r) >= k).
+
+    Iterating from q = 1 descends to the largest root, which is the core;
+    it stops once |dq| <= atol + rtol q.  A core edge of size s has s
+    surviving vertices, so beta[s] = (mu_bar/h) P(Bin(h, q) = s) for
+    s >= h-w+1; x_star counts the signs granted on the way (w per dead
+    edge, h-s per surviving one), matching `integrate`'s x at its z_L
+    ending.  A vertex fraction below EMPTY_CORE_ALPHA is the empty core.
+
+    Raises DomainError unless 0 < mu_bar < inf, and FixedPointError when
+    the iteration has not settled after MAX_FIXED_POINT_ITERATIONS steps.
+    """
+    if not (math.isfinite(mu_bar) and mu_bar > 0):
+        raise DomainError(f"mu_bar must be positive and finite, got {mu_bar}")
+    h, w, k = p.h, p.w, p.k
+
+    def rate(q: float) -> float:
+        return mu_bar * float(special.bdtrc(h - w - 1, h - 1, q))
+
+    q = 1.0
+    for _ in range(MAX_FIXED_POINT_ITERATIONS):
+        q_next = float(special.gammainc(k, rate(q)))
+        settled = abs(q_next - q) <= atol + rtol * q_next
+        q = q_next
+        if settled:
+            break
+    else:
+        raise FixedPointError(
+            f"core fixed point at (h, w, k) = ({h}, {w}, {k}), "
+            f"mu_bar = {mu_bar} not settled after "
+            f"{MAX_FIXED_POINT_ITERATIONS} iterations (q = {q})"
+        )
+
+    sizes = range(h, h - w, -1)
+    edges = mu_bar / h
+    beta = {s: edges * math.comb(h, s) * q**s * (1.0 - q) ** (h - s) for s in sizes}
+    x_star = edges * w * float(special.bdtr(h - w, h, q)) + sum(
+        (h - s) * b for s, b in beta.items()
+    )
+    alpha = float(special.gammainc(k + 1, rate(q)))
+    if alpha < EMPTY_CORE_ALPHA:
+        alpha, beta = 0.0, dict.fromkeys(sizes, 0.0)
+    demand = sum(p.sign_demand(s) * b for s, b in beta.items())
+    balls = sum(s * b for s, b in beta.items())
+    return CoreStats(
+        x_star=x_star,
+        alpha=alpha,
+        beta=beta,
+        kappa=demand / alpha if alpha else 0.0,
+        mu_hat=balls / alpha if alpha else 0.0,
+        terminated_by="fixed_point",
+    )
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     mu_tilde: float
@@ -542,22 +639,18 @@ def find_threshold(
     rtol: float = 1e-12,
     atol: float = 1e-14,
 ) -> ThresholdResult:
-    """Bisection on mu_bar for the core density kappa(mu_bar) = k.
+    """Bisection on mu_bar for the core density kappa(mu_bar) = k, with
+    kappa from `core_fixed_point` at stopping tolerances rtol/atol.
 
-    Runs that never produce a core (domain violated at the start, or the
-    trajectory exits through a non-z_L boundary) count as kappa = 0.  The
-    seed bracket is [k, hk/w]; hk/w is the hard counting bound above which
-    density must exceed k, but both ends are expanded a few times if the
-    sign change isn't there yet.
+    An empty core counts as kappa = 0.  The seed bracket is [k, hk/w]; hk/w
+    is the hard counting bound above which density must exceed k, but both
+    ends are expanded a few times if the sign change isn't there yet.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def kappa_of(mu_bar: float) -> tuple[float, Optional[CoreStats]]:
-        try:
-            _, stats = integrate(OdeParams(p, mu_bar, rtol=rtol, atol=atol))
-        except ValueError:
-            return 0.0, None
+    def kappa_of(mu_bar: float) -> tuple[float, CoreStats]:
+        stats = core_fixed_point(p, mu_bar, rtol=rtol, atol=atol)
         return stats.kappa, stats
 
     lo = float(p.k)

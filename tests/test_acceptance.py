@@ -217,7 +217,7 @@ def test_peeling_matches_brute_force_and_extension_verifies():
 
 
 # ---------------------------------------------------------------------------
-# sampled cores vs. the integrated prediction
+# sampled cores vs. the fixed-point prediction
 # ---------------------------------------------------------------------------
 
 
@@ -241,6 +241,26 @@ def test_core_profile_tracks_numeric_prediction():
             f"chi2 p={rep.chi2_pvalue:.3f}"
         )
     _verdict("core profile", "; ".join(details))
+
+
+@pytest.mark.parametrize(
+    "hwk, mu_bar", [((3, 1, 1), 2.75), ((3, 1, 1), 2.6), ((5, 3, 2), 2.8)]
+)
+def test_core_profile_predicts_small_k_cores(hwk, mu_bar):
+    # the ODE leaves its domain here (mean heavy degree reaches k+2) before
+    # the light balls run out, yet sampled graphs keep a large core
+    cfg = ExperimentConfig(*hwk, 60_000, mu_bar, 5, SEED)
+    rep = core_profile(cfg)
+    assert not rep.prediction.empty
+    assert abs(rep.prediction.alpha - rep.mean_alpha) <= 0.01, (
+        rep.prediction.alpha,
+        rep.mean_alpha,
+    )
+    _verdict(
+        "small-k core profile",
+        f"{hwk} mu={mu_bar}: predicted alpha {rep.prediction.alpha:.4f}, "
+        f"sampled {rep.mean_alpha:.4f}",
+    )
 
 
 # ---------------------------------------------------------------------------

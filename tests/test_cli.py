@@ -247,6 +247,27 @@ def test_identical_seeds_are_worker_count_invariant(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_ode_warns_when_no_core_ending(capsys):
+    # (3,1,1) at 2.75 leaves the ODE's domain before z_L; the report on
+    # stdout still says what the integrator did, stderr flags it
+    code = main(["ode", "--h", "3", "--w", "1", "--k", "1", "--mu", "2.75",
+                 "--format", "json"])
+    assert code == 0
+    captured = capsys.readouterr()
+    stats = json.loads(captured.out)["stats"]
+    assert stats["terminated_by"] == "mu_floor" and stats["alpha"] == 0.0
+    warnings = [ln for ln in captured.err.splitlines() if "warning" in ln]
+    assert len(warnings) == 1
+    assert "mu_floor" in warnings[0]
+    alpha = float(warnings[0].rsplit("alpha=", 1)[1])
+    assert alpha == pytest.approx(0.631, abs=0.001)
+
+    # a clean z_L ending prints no warning
+    assert main(["ode", "--h", "3", "--w", "2", "--k", "4", "--mu", "5.0",
+                 "--format", "json"]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_table1_survives_row_failures(capsys, monkeypatch):
     import wkorient.cli as cli
 

@@ -8,9 +8,13 @@ import pytest
 from oracles import classical_core_fixed_point
 from wkorient.hypergraph import OrientationParams
 from wkorient.models import RngSeed, sample_uniform_multi
+import wkorient.ode as ode
 from wkorient.ode import (
+    DomainError,
+    FixedPointError,
     OdeParams,
     OdeState,
+    core_fixed_point,
     derivatives,
     f_star,
     find_threshold,
@@ -149,6 +153,9 @@ def test_w1_reduction_matches_classical_fixed_points():
         _, stats = _solve(OrientationParams(h, 1, k), mu_bar)
         assert stats.alpha == pytest.approx(alpha, rel=1e-7)
         assert stats.mu_hat == pytest.approx(mu_hat, rel=1e-7)
+        fixed = core_fixed_point(OrientationParams(h, 1, k), mu_bar)
+        assert fixed.alpha == pytest.approx(alpha, rel=1e-9)
+        assert fixed.mu_hat == pytest.approx(mu_hat, rel=1e-9)
 
 
 def test_lambda_modes_agree():
@@ -193,6 +200,59 @@ def test_trajectory_csv_layout():
     assert first["z_L"] == pytest.approx(z_l0, rel=1e-9)
     assert first["z_B"] == pytest.approx(z_b0, rel=1e-9)
     assert first["z_HV"] == pytest.approx(z_hv0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form core fixed point
+
+
+@pytest.mark.parametrize(
+    "hwk, mu_bar",
+    [
+        ((3, 2, 4), 5.0),
+        ((3, 2, 4), 5.48471),
+        ((3, 2, 4), 6.0),
+        ((3, 2, 10), 14.7),
+        ((3, 2, 40), 59.99),
+        ((10, 2, 4), 19.9),
+    ],
+)
+def test_fixed_point_matches_integrated_endpoint(hwk, mu_bar):
+    # where the ODE ends cleanly at z_L, its endpoint is the core the
+    # fixed point describes
+    p = OrientationParams(*hwk)
+    _, ref = integrate(OdeParams(p, mu_bar))
+    assert ref.terminated_by == "z_L"
+    got = core_fixed_point(p, mu_bar)
+    assert got.terminated_by == "fixed_point"
+    for name in ("alpha", "kappa", "mu_hat", "x_star"):
+        assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-8), name
+    assert set(got.beta) == set(ref.beta)
+    for s, b in ref.beta.items():
+        assert got.beta[s] == pytest.approx(b, rel=1e-8), s
+
+
+def test_fixed_point_underflow_reads_as_empty_core():
+    # below core emergence q -> 0; alpha would underflow towards 1e-169
+    # and the demand ratio blow up instead of reading 0
+    for mu_bar in (4.5, 1e-3):
+        stats = core_fixed_point(P324, mu_bar)
+        assert stats.empty
+        assert stats.kappa == 0.0 and stats.mu_hat == 0.0
+        assert set(stats.beta.values()) == {0.0}
+
+
+def test_fixed_point_rejects_undefined_mean_degree():
+    for mu_bar in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            core_fixed_point(P324, mu_bar)
+    assert issubclass(DomainError, ValueError)
+
+
+def test_fixed_point_iteration_cap_names_the_point(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_FIXED_POINT_ITERATIONS", 3)
+    with pytest.raises(FixedPointError, match=r"\(3, 2, 4\), mu_bar = 5\.0 "):
+        core_fixed_point(P324, 5.0)
 
 
 # ---------------------------------------------------------------------------
