@@ -302,6 +302,11 @@ GOLDEN = {
     "stats_hi_csv": ("a24d4580192ff7f4b41936c4689f1cf1c77925869a0df53ae763f330d94e3e7e", 127),
     "stats_hi_json": ("5d05948f3160fa1b3b883ae5da8cf6d58505585b37349dea14664a64916607c2", 256),
     "simulate_json": ("7fb1d8e9988d908506d67b9cd51f741036bbe4bf3a490db567f0581dbc960fc3", 1233),
+    "ode_311_json": ("b1f235fed36820076bbc1dd7a1a8dd640e5cb9bf610587ab497d244e86c764c2", 269),
+    "ode_311_csv": ("0d844282c79ce463f0200313e806675a0953b11c9974b0abc30e26045fec5e4f", 59825),
+    "ode_211_csv": ("d43c949e146a7c822d95881f6c806751a433718f55843bc54662c3786307b7d9", 64),
+    "ode_324_json": ("1a9344bc64cd0a843365147943477f252c7022319e83d7f953c00e6aeb532caa", 355),
+    "ode_324_csv": ("3c3fa19a3c2a6f1e782508b4afae472846479b7aab2a161431581f3a573b2272", 74429),
 }
 
 
@@ -322,6 +327,14 @@ def test_seeded_outputs_are_byte_identical(tmp_path, monkeypatch):
         ("stats_hi_json", ["stats", hi, *hwk, "--format", "json"], 0),
         ("simulate_json", ["simulate", *hwk, "--n", "2000", "--mu", "5.5",
                            "--trials", "4", "--seed", "3", "--format", "json"], 0),
+        # mu_floor ending, both formats
+        ("ode_311_json", ["ode", "--h", "3", "--w", "1", "--k", "1", "--mu", "2.75",
+                          "--format", "json"], 0),
+        ("ode_311_csv", ["ode", "--h", "3", "--w", "1", "--k", "1", "--mu", "2.75"], 0),
+        # integration does not start
+        ("ode_211_csv", ["ode", "--h", "2", "--w", "1", "--k", "1", "--mu", "1.5"], 0),
+        ("ode_324_json", ["ode", *hwk, "--mu", "5.0", "--format", "json"], 0),
+        ("ode_324_csv", ["ode", *hwk, "--mu", "5.485"], 0),
     ]
     for name, argv, code in runs:
         out = tmp_path / name

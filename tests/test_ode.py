@@ -276,6 +276,27 @@ def test_threshold_stays_below_counting_bound():
     assert res.mu_tilde < 10 * 4 / 2
 
 
+def test_trajectory_vs_trace_is_pinned():
+    # repr of every deviation of one seeded n = 2000 randomized trace,
+    # recorded before the state reader was shared between the sample grid,
+    # the columns and this comparison
+    n = 2000
+    H = sample_uniform_multi(n, round(5.0 * n / 3), 3, RngSeed(5, 1).generator())
+    pr = rancore(H, P324, mode="randomized", rng=RngSeed(5, 2).generator(), trace=True)
+    traj, _ = integrate(OdeParams(P324, 5.0))
+    devs = trajectory_vs_trace(traj, pr.trace)
+    assert {name: repr(d) for name, d in devs.items()} == {
+        "z_L": "0.04794194231273288",
+        "z_B": "0.0036172425512444903",
+        "z_HV": "0.025024365668657702",
+        "z_L_3": "0.027217255945987753",
+        "z_H_3": "0.01187302056364632",
+        "z_L_2": "0.19914827517936598",
+        "z_H_2": "0.043450865243610776",
+        "z_A": "0.06826636712176619",
+    }
+
+
 @pytest.mark.slow
 def test_simulated_process_converges_to_trajectory():
     traj, _ = _solve(P324, 5.0)
