@@ -15,6 +15,7 @@ times are printed to stderr rather than persisted, for the same reason.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -23,7 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -38,7 +39,16 @@ from .hypergraph import (
     write_hypergraph,
 )
 from .models import RngSeed, sample_uniform_multi
-from .ode import CoreStats, OdeParams, core_fixed_point, find_threshold, integrate
+from .ode import (
+    BracketError,
+    CoreStats,
+    DomainError,
+    FixedPointError,
+    OdeParams,
+    core_fixed_point,
+    find_threshold,
+    integrate,
+)
 from .peeling import core_statistics, rancore
 from .poisson import TruncatedPoisson, solve_lambda
 
@@ -246,12 +256,19 @@ def _json_default(value):
     raise TypeError(f"not JSON-serializable: {type(value)}")
 
 
-def _write_text(out: Optional[str], text: str) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _open_out(path: Optional[str]) -> Iterator[TextIO]:
+    """The --out target: stdout for None or '-', else the file, closed after."""
+    if path is None or path == "-":
+        yield sys.stdout
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        with open(path, "w") as fh:
+            yield fh
+
+
+def _write_text(out: Optional[str], text: str) -> None:
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
 def _open_in(path: str) -> TextIO:
@@ -464,7 +481,7 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
     prediction = core_fixed_point(p, cfg.mu_bar)
     records = _run_batch(cfg, stream_base=0)
 
-    sizes = list(range(p.h, p.min_edge_size - 1, -1))
+    sizes = p.sizes
     mean_alpha = float(np.mean([r.n_core / cfg.n for r in records]))
     mean_beta = {
         s: float(np.mean([r.m_core.get(s, 0) / cfg.n for r in records]))
@@ -516,8 +533,10 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
 
 
 def table1_rows(tol: float = 1e-4) -> list[dict]:
-    """Compute the four reference parameter rows; a row that fails carries
-    its error text instead of aborting the table."""
+    """Compute the four reference parameter rows; a row whose threshold
+    cannot be found (no bracket, a mean degree outside the model, an
+    unsettled fixed point) carries its error text instead of aborting the
+    table.  Any other error propagates."""
     rows = []
     for h, w, k, ref_mu_tilde, ref_mu_hat in TABLE1_REFERENCE:
         row = {
@@ -537,7 +556,7 @@ def table1_rows(tol: float = 1e-4) -> list[dict]:
                 delta_mu_hat=res.mu_hat - ref_mu_hat,
                 error="",
             )
-        except Exception as exc:  # keep going; the table must complete
+        except (BracketError, DomainError, FixedPointError) as exc:
             row.update(
                 mu_tilde=None,
                 mu_hat=None,
@@ -560,14 +579,9 @@ def _cmd_gen(args) -> int:
     m = args.m if args.m is not None else round(args.mu * args.n / args.h)
     rng = RngSeed(args.seed).generator()
     H = sample_uniform_multi(args.n, m, args.h, rng)
-    buf = [f"# h={args.h} seed={args.seed}\n"]
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
-    try:
-        out.writelines(buf)
+    with _open_out(args.out) as out:
+        out.write(f"# h={args.h} seed={args.seed}\n")
         write_hypergraph(H, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -577,8 +591,7 @@ def _cmd_core(args) -> int:
         H = read_hypergraph(fh)
     pr = rancore(H, p)
     st = core_statistics(pr, p)
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
-    try:
+    with _open_out(args.out) as out:
         out.write(
             f"# core of h={args.h} w={args.w} k={args.k}: "
             f"n_core={st.n_core} kappa={st.kappa} mu_hat={_fmt(st.mu_hat)}\n"
@@ -586,9 +599,6 @@ def _cmd_core(args) -> int:
         out.write("# vertices relabeled 0..n_core-1 in original order: ")
         out.write(" ".join(str(v) for v in pr.core_vertices) + "\n")
         write_hypergraph(pr.core, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -716,11 +726,8 @@ def _cmd_ode(args) -> int:
         )
         _write_text(args.out, text)
     else:
-        if args.out in (None, "-"):
-            traj.to_csv(sys.stdout)
-        else:
-            with open(args.out, "w") as fh:
-                traj.to_csv(fh)
+        with _open_out(args.out) as fh:
+            traj.to_csv(fh)
         print(
             f"x*={stats.x_star:.9g} alpha={stats.alpha:.9g} "
             f"kappa={stats.kappa:.9g} mu_hat={stats.mu_hat:.9g} "
@@ -732,7 +739,7 @@ def _cmd_ode(args) -> int:
 
 def _cmd_threshold(args) -> int:
     p = OrientationParams(args.h, args.w, args.k)
-    res = find_threshold(p, tol=args.tol if args.tol is not None else 1e-4)
+    res = find_threshold(p, tol=args.tol)
     if args.format == "json":
         text = _json_text(
             "threshold",
@@ -771,7 +778,7 @@ def _cmd_simulate(args) -> int:
         )
         records = _run_batch(cfg, stream_base=0)
         frac = sum(1 for r in records if r.orientable) / len(records)
-        sizes = list(range(p.h, p.min_edge_size - 1, -1))
+        sizes = p.sizes
         if args.format == "json":
             text = _json_text(
                 "simulate",
@@ -792,10 +799,10 @@ def _cmd_simulate(args) -> int:
     bracket = (mus[0], mus[1]) if len(mus) >= 2 else None
     report = simulate_threshold(
         p, args.n, args.trials, args.seed,
-        tol=args.tol if args.tol is not None else 0.05,
+        tol=args.tol,
         bracket=bracket,
     )
-    sizes = list(range(p.h, p.min_edge_size - 1, -1))
+    sizes = p.sizes
     if args.format == "json":
         text = _json_text(
             "simulate",
@@ -831,7 +838,7 @@ def _cmd_core_profile(args) -> int:
         args.h, args.w, args.k, args.n, args.mu[0], args.trials, args.seed
     )
     report = core_profile(cfg)
-    sizes = list(range(args.h, cfg.params.min_edge_size - 1, -1))
+    sizes = cfg.params.sizes
     if args.format == "json":
         text = _json_text(
             "core-profile",
@@ -878,7 +885,7 @@ def _cmd_core_profile(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows = table1_rows(tol=args.tol if args.tol is not None else 1e-4)
+    rows = table1_rows(tol=args.tol)
     columns = [
         "h", "w", "k", "mu_tilde", "mu_hat",
         "ref_mu_tilde", "ref_mu_hat", "delta_mu_tilde", "delta_mu_hat",
@@ -959,7 +966,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("threshold", help="numeric orientability threshold")
     common(sp)
-    sp.add_argument("--tol", type=float, help="bisection width (default 1e-4)")
+    sp.add_argument(
+        "--tol", type=float, default=1e-4, help="bisection width (default %(default)s)"
+    )
     io_flags(sp)
     sp.set_defaults(func=_cmd_threshold)
 
@@ -976,7 +985,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, help="bisection width (default 0.05)")
+    sp.add_argument(
+        "--tol", type=float, default=0.05, help="bisection width (default %(default)s)"
+    )
     io_flags(sp)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -993,7 +1004,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_core_profile)
 
     sp = sub.add_parser("table1", help="threshold table for the reference rows")
-    sp.add_argument("--tol", type=float, help="bisection width (default 1e-4)")
+    sp.add_argument(
+        "--tol", type=float, default=1e-4, help="bisection width (default %(default)s)"
+    )
     io_flags(sp)
     sp.set_defaults(func=_cmd_table1)
 

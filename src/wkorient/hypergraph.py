@@ -54,6 +54,11 @@ class OrientationParams:
     def min_edge_size(self) -> int:
         return self.h - self.w + 1
 
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """Admissible residual edge sizes, largest first: h, h-1, .., h-w+1."""
+        return tuple(range(self.h, self.min_edge_size - 1, -1))
+
     def sign_demand(self, size: int) -> int:
         """Signs owed by an edge of the given size: w - (h - size)."""
         if not (self.min_edge_size <= size <= self.h):

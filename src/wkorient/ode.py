@@ -18,8 +18,7 @@ where zL_s / zH_s are light/heavy balls (per initial vertex) in residual
 edges of size s.  The size-h buckets are algebraic: zL_h = z_L - sum of the
 others, zH_h likewise from z_B - z_L.  The rate lambda of the heavy-degree
 law is recovered algebraically from mu = (z_B - z_L)/z_HV at every
-evaluation; the paper-style lambda' integration is kept behind
-lambda_mode="ode" purely as a consistency check.
+evaluation.
 
 Integration runs until the first boundary event: z_L hitting 0 (the clean
 ending — the light balls run out and what remains is the core), the heavy
@@ -41,17 +40,10 @@ from scipy.integrate import solve_ivp
 
 from .hypergraph import OrientationParams
 from .peeling import ProcessTrace
-from .poisson import (
-    heavy_bucket_fraction,
-    initial_conditions,
-    log_poisson_tail,
-    poisson_tail,
-    solve_lambda,
-)
+from .poisson import heavy_bucket_fraction, initial_conditions, solve_lambda
 
 __all__ = [
     "OdeParams",
-    "OdeState",
     "CoreStats",
     "ThresholdResult",
     "Trajectory",
@@ -60,7 +52,6 @@ __all__ = [
     "DomainError",
     "FixedPointError",
     "f_star",
-    "derivatives",
     "integrate",
     "core_fixed_point",
     "find_threshold",
@@ -102,8 +93,6 @@ class OdeParams:
     mu_bar: float
     rtol: float = 1e-12
     atol: float = 1e-14
-    first_step: Optional[float] = None  # default: z_L(0)/10
-    max_step: float = math.inf
     samples: int = 512
 
     def __post_init__(self):
@@ -145,21 +134,14 @@ def _ratio(num: float, den: float) -> float:
     return r if r < 1.0 else 1.0
 
 
-def _poisson_logpmf(j: int, lam: float) -> float:
-    return j * math.log(lam) - lam - math.lgamma(j + 1)
-
-
 class _System:
     """RHS and events for one parameter set; keeps a warm-started lambda."""
 
-    def __init__(self, params: OdeParams, lambda_mode: str = "algebraic"):
-        if lambda_mode not in ("algebraic", "ode"):
-            raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
+    def __init__(self, params: OdeParams):
         self.params = params
         self.p = params.p
-        self.lambda_mode = lambda_mode
         self.nb = self.p.w - 1
-        self.dim = 2 * self.nb + 3 + (1 if lambda_mode == "ode" else 0)
+        self.dim = 2 * self.nb + 3
         self._warm_lambda: Optional[float] = None
 
     # layout helpers
@@ -207,17 +189,10 @@ class _System:
         # drawn from the smallest class), freeing h-w balls, each of which
         # sits in an exactly-(k+1)-ball heavy bin with probability
         # (k+1) z_A / (z_B - z_L)
-        if self.lambda_mode == "ode":
-            lam = float(y[-1])
-        elif zHV > 0.0 and heavy > 0.0:
-            lam = self.solve_rate(heavy / zHV)
-        else:
-            lam = None
-        if lam is not None and lam > 0.0 and heavy > 0.0 and zHV > 0.0:
-            z_a = heavy_bucket_fraction(lam, k) * zHV
+        if zHV > 0.0 and heavy > 0.0:
+            z_a = heavy_bucket_fraction(self.solve_rate(heavy / zHV), k) * zHV
             hit_small = _ratio((k + 1) * z_a, heavy)
         else:
-            z_a = 0.0
             hit_small = 0.0
         pick_last = _ratio(ZL[-1], zL)
         G = pick_last * (h - w) * _ratio(ZH[-1], ZB[-1]) * hit_small
@@ -240,26 +215,7 @@ class _System:
         dy[self.i_zL] = -1.0 - (h - w) * f_star(ZL[-1], ZB[-1], zL) + k * G
         dy[self.i_zB] = -1.0 - (h - w) * pick_last
         dy[self.i_zHV] = -G
-
-        if self.lambda_mode == "ode":
-            dy[-1] = self._lambda_prime(lam, zL, zB, zHV, dy)
         return dy
-
-    def _lambda_prime(self, lam, zL, zB, zHV, dy) -> float:
-        """Differentiated form of the defining identity
-        lambda f_k(lambda) = mu(x) f_{k+1}(lambda)."""
-        k = self.p.k
-        if zHV <= 0.0 or lam <= 0.0:
-            return 0.0
-        heavy = zB - zL
-        mu = heavy / zHV
-        mu_prime = (
-            (dy[self.i_zB] - dy[self.i_zL]) * zHV - heavy * dy[self.i_zHV]
-        ) / (zHV * zHV)
-        pmf_km1 = math.exp(_poisson_logpmf(k - 1, lam)) if k >= 1 else 0.0
-        pmf_k = math.exp(_poisson_logpmf(k, lam))
-        denom = poisson_tail(k, lam) + lam * pmf_km1 - mu * pmf_k
-        return mu_prime * poisson_tail(k + 1, lam) / denom
 
     def events(self) -> list[Callable]:
         k = self.p.k
@@ -288,58 +244,6 @@ _EVENT_NAMES = ("z_L", "z_B_minus_z_L", "z_HV", "mu_floor")
 
 
 @dataclass(frozen=True)
-class OdeState:
-    """One point of the system, with the derived quantities unpacked."""
-
-    x: float
-    z_L_by_size: dict
-    z_H_by_size: dict
-    z_L: float
-    z_B: float
-    z_HV: float
-    lam: float
-    mu: float
-    z_A: float
-
-    @classmethod
-    def from_vector(cls, x: float, y: np.ndarray, params: OdeParams) -> "OdeState":
-        sys = _System(params)
-        ZL, ZH = sys.buckets(y)
-        zL = float(y[sys.i_zL])
-        zB = float(y[sys.i_zB])
-        zHV = float(y[sys.i_zHV])
-        heavy = zB - zL
-        sizes = list(range(params.p.h, params.p.h - params.p.w, -1))
-        mu = heavy / zHV if zHV > 0 else math.inf
-        lam = sys.solve_rate(mu) if zHV > 0 and heavy > 0 else 0.0
-        z_a = heavy_bucket_fraction(lam, params.p.k) * zHV if lam > 0 else 0.0
-        return cls(
-            x=x,
-            z_L_by_size=dict(zip(sizes, ZL)),
-            z_H_by_size=dict(zip(sizes, ZH)),
-            z_L=zL,
-            z_B=zB,
-            z_HV=zHV,
-            lam=lam,
-            mu=mu,
-            z_A=z_a,
-        )
-
-    def to_vector(self, params: OdeParams) -> np.ndarray:
-        sizes = list(range(params.p.h - 1, params.p.h - params.p.w, -1))
-        parts = [self.z_L_by_size[s] for s in sizes]
-        parts += [self.z_H_by_size[s] for s in sizes]
-        parts += [self.z_L, self.z_B, self.z_HV]
-        return np.asarray(parts)
-
-
-def derivatives(state: OdeState, params: OdeParams) -> np.ndarray:
-    """Derivative vector at a state point (bucket pairs, z_L, z_B, z_HV)."""
-    sys = _System(params)
-    return sys.rhs(state.x, state.to_vector(params))
-
-
-@dataclass(frozen=True)
 class CoreStats:
     """Predicted core: alpha = surviving vertex fraction, beta[s] = edges
     of size s per initial vertex, kappa/mu_hat its density and mean degree.
@@ -358,72 +262,93 @@ class CoreStats:
         return self.alpha <= 0.0
 
 
+def _core_stats(
+    p: OrientationParams,
+    x_star: float,
+    terminated_by: str,
+    alpha: float = 0.0,
+    beta: Optional[dict] = None,
+) -> CoreStats:
+    """CoreStats with the density and mean degree read off the vertex
+    fraction and the edges per size; no beta is the empty core."""
+    if beta is None:
+        beta = dict.fromkeys(p.sizes, 0.0)
+    demand = sum(p.sign_demand(s) * b for s, b in beta.items())
+    balls = sum(s * b for s, b in beta.items())
+    return CoreStats(
+        x_star=x_star,
+        alpha=alpha,
+        beta=beta,
+        kappa=demand / alpha if alpha > 0 else 0.0,
+        mu_hat=balls / alpha if alpha > 0 else 0.0,
+        terminated_by=terminated_by,
+    )
+
+
+def _read_states(p: OrientationParams, y: np.ndarray) -> dict[str, np.ndarray]:
+    """Named columns of a state matrix (rows per the _System layout, one
+    column per point): z_L, z_B, z_HV, z_L_s and z_H_s for every size s,
+    the heavy mean degree mu, its rate lambda and z_A.  Where mu <= k+1
+    no rate exists: mu and lambda are nan there and z_A is 0.  lambda is
+    solved point by point, each warm-started from the last one solved."""
+    nb = p.w - 1
+    zL, zB, zHV = y[2 * nb : 2 * nb + 3]
+    heavy = zB - zL
+    cols = {"z_L": zL, "z_B": zB, "z_HV": zHV}
+    light_by_size = [zL - y[:nb].sum(axis=0), *y[:nb]]
+    heavy_by_size = [heavy - y[nb : 2 * nb].sum(axis=0), *y[nb : 2 * nb]]
+    for s, col_l, col_h in zip(p.sizes, light_by_size, heavy_by_size):
+        cols[f"z_L_{s}"] = col_l
+        cols[f"z_H_{s}"] = col_h
+    k = p.k
+    mu = np.full(len(zL), math.nan)
+    lam = np.full(len(zL), math.nan)
+    z_a = np.zeros(len(zL))
+    warm = None
+    for i in range(len(zL)):
+        if zHV[i] > 0 and heavy[i] > 0 and heavy[i] / zHV[i] > k + 1 + 1e-9:
+            mu[i] = heavy[i] / zHV[i]
+            lam[i] = warm = solve_lambda(mu[i], k, x0=warm)
+            z_a[i] = heavy_bucket_fraction(lam[i], k) * zHV[i]
+    cols["mu"] = mu
+    cols["lambda"] = lam
+    cols["z_A"] = z_a
+    return cols
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    params: OdeParams
-    lambda_mode: str
-    x: np.ndarray
-    y: np.ndarray  # state x len(x), rows per _System layout
-    lam: np.ndarray
-    mu: np.ndarray
-    dense: object  # OdeSolution over [0, x_end]
+    """The solved process on a sample grid x: the state matrix y (rows per
+    the _System layout, one column per point), its named columns from
+    `_read_states`, and the dense solution over [0, x_end] (None for the
+    single-point trajectory)."""
 
-    @property
-    def sizes(self) -> list[int]:
-        p = self.params.p
-        return list(range(p.h, p.h - p.w, -1))
+    params: OdeParams
+    x: np.ndarray
+    y: np.ndarray
+    states: dict
+    dense: object
 
     def columns(self) -> dict[str, np.ndarray]:
-        sys = _System(self.params)
-        nb = sys.nb
-        zL = self.y[sys.i_zL]
-        zB = self.y[sys.i_zB]
-        zHV = self.y[sys.i_zHV]
-        heavy = zB - zL
-        out = {"x": self.x, "z_L": zL, "z_B": zB, "z_HV": zHV}
-        sizes = self.sizes
-        bucketsL = [zL - self.y[:nb].sum(axis=0)] + [self.y[i] for i in range(nb)]
-        bucketsH = [heavy - self.y[nb : 2 * nb].sum(axis=0)] + [
-            self.y[nb + i] for i in range(nb)
-        ]
-        for s, colL, colH in zip(sizes, bucketsL, bucketsH):
-            out[f"z_L_{s}"] = colL
-            out[f"z_H_{s}"] = colH
-        out["lambda"] = self.lam
-        out["mu"] = self.mu
-        k = self.params.p.k
-        out["z_A"] = np.array(
-            [
-                heavy_bucket_fraction(l, k) * v if l > 0 and v > 0 else 0.0
-                for l, v in zip(self.lam, zHV)
-            ]
-        )
-        return out
-
-    def eval_state(self, x: float) -> np.ndarray:
-        return self.dense(x)
+        return {"x": self.x, **self.states}
 
     def to_csv(self, fh) -> None:
         cols = self.columns()
+        sizes = self.params.p.sizes
         names = ["x", "z_L", "z_B", "z_HV"]
-        names += [f"z_L_{s}" for s in self.sizes]
-        names += [f"z_H_{s}" for s in self.sizes]
+        names += [f"z_L_{s}" for s in sizes]
+        names += [f"z_H_{s}" for s in sizes]
         names += ["lambda", "mu"]
         fh.write(",".join(names) + "\n")
         for i in range(len(self.x)):
             fh.write(",".join(f"{cols[c][i]:.12g}" for c in names) + "\n")
 
 
-def _initial_vector(params: OdeParams, lambda_mode: str) -> np.ndarray:
-    p = params.p
-    z_l0, z_b0, z_hv0, lam0 = initial_conditions(params.mu_bar, p.k)
-    nb = p.w - 1
-    y0 = np.zeros(2 * nb + 3 + (1 if lambda_mode == "ode" else 0))
-    y0[2 * nb] = z_l0
-    y0[2 * nb + 1] = z_b0
-    y0[2 * nb + 2] = z_hv0
-    if lambda_mode == "ode":
-        y0[-1] = lam0
+def _initial_vector(params: OdeParams) -> np.ndarray:
+    z_l0, z_b0, z_hv0, _ = initial_conditions(params.mu_bar, params.p.k)
+    nb = params.p.w - 1
+    y0 = np.zeros(2 * nb + 3)
+    y0[2 * nb :] = z_l0, z_b0, z_hv0
     return y0
 
 
@@ -431,71 +356,18 @@ def _stats_from_state(
     params: OdeParams, x_star: float, y: np.ndarray, terminated_by: str
 ) -> CoreStats:
     p = params.p
-    sys = _System(params)
     if terminated_by != "z_L":
-        sizes = list(range(p.h, p.h - p.w, -1))
-        return CoreStats(
-            x_star=x_star,
-            alpha=0.0,
-            beta={s: 0.0 for s in sizes},
-            kappa=0.0,
-            mu_hat=0.0,
-            terminated_by=terminated_by,
-        )
-    ZL, ZH = sys.buckets(y)
-    alpha = float(y[sys.i_zHV])
-    sizes = list(range(p.h, p.h - p.w, -1))
-    beta = {s: max(zh, 0.0) / s for s, zh in zip(sizes, ZH)}
-    demand = sum(p.sign_demand(s) * b for s, b in beta.items())
-    balls = sum(s * b for s, b in beta.items())
-    kappa = demand / alpha if alpha > 0 else 0.0
-    mu_hat = balls / alpha if alpha > 0 else 0.0
-    return CoreStats(
-        x_star=x_star,
-        alpha=alpha,
-        beta=beta,
-        kappa=kappa,
-        mu_hat=mu_hat,
-        terminated_by=terminated_by,
-    )
+        return _core_stats(p, x_star, terminated_by)
+    sys = _System(params)
+    _, ZH = sys.buckets(y)
+    beta = {s: max(zh, 0.0) / s for s, zh in zip(p.sizes, ZH)}
+    return _core_stats(p, x_star, terminated_by, float(y[sys.i_zHV]), beta)
 
 
-def integrate(
-    params: OdeParams, lambda_mode: str = "algebraic"
-) -> tuple[Trajectory, CoreStats]:
-    """Run the system from its initial conditions to the first boundary
-    event and read off the core prediction.
-
-    Raises ValueError when the start already sits outside the domain
-    (no heavy vertices, or mean heavy degree <= k+2) and StiffnessError when
-    the integrator stalls.
-    """
-    p = params.p
-    z_l0, z_b0, z_hv0, _ = initial_conditions(params.mu_bar, p.k)
-    heavy0 = z_b0 - z_l0
-    if z_hv0 <= 0.0:
-        raise ValueError(f"no heavy vertices at mu_bar={params.mu_bar}")
-    if heavy0 - (p.k + 2) * z_hv0 <= 0.0:
-        raise ValueError(
-            f"initial mean heavy degree {heavy0 / z_hv0:.6g} is not above k+2"
-        )
-    sys = _System(params, lambda_mode)
-    y0 = _initial_vector(params, lambda_mode)
-
-    if z_l0 <= 0.0:
-        # mu_bar so large that no vertex starts light (the complement tail
-        # underflows): the whole graph is its own core
-        stats = _stats_from_state(params, 0.0, y0, "z_L")
-        xgrid = np.zeros(1)
-        ymat = y0[: 2 * sys.nb + 3].reshape(-1, 1)
-        lam = np.array([params.mu_bar])
-        mu = np.array([heavy0 / z_hv0])
-        return (
-            Trajectory(params, lambda_mode, xgrid, ymat, lam, mu, dense=None),
-            stats,
-        )
-
-    first = params.first_step if params.first_step is not None else z_l0 / 10.0
+def _solve(sys: _System, y0: np.ndarray):
+    """Integrate sys from y0 to its first boundary event.  Returns the
+    solution, the event's x and state, and the event's name."""
+    params = sys.params
     sol = solve_ivp(
         sys.rhs,
         (0.0, params.mu_bar),
@@ -505,8 +377,7 @@ def integrate(
         dense_output=True,
         rtol=params.rtol,
         atol=params.atol,
-        first_step=min(first, params.mu_bar / 2),
-        max_step=params.max_step,
+        first_step=min(y0[sys.i_zL] / 10.0, params.mu_bar / 2),
     )
     if sol.status == -1:
         raise StiffnessError(f"integrator failed: {sol.message}; last x={sol.t[-1]}")
@@ -517,41 +388,46 @@ def integrate(
     fired = [i for i, te in enumerate(sol.t_events) if len(te)]
     idx = min(fired, key=lambda i: sol.t_events[i][0])
     # simultaneous crossings: prefer the z_L root, it defines the core
-    x_star = float(sol.t_events[idx][0])
+    first = float(sol.t_events[idx][0])
     for i in fired:
-        if _EVENT_NAMES[i] == "z_L" and sol.t_events[i][0] <= x_star + 1e-15:
+        if _EVENT_NAMES[i] == "z_L" and sol.t_events[i][0] <= first + 1e-15:
             idx = i
             break
-    x_star = float(sol.t_events[idx][0])
-    y_star = sol.y_events[idx][0]
-    terminated_by = _EVENT_NAMES[idx]
+    return sol, float(sol.t_events[idx][0]), sol.y_events[idx][0], _EVENT_NAMES[idx]
 
+
+def integrate(params: OdeParams) -> tuple[Trajectory, CoreStats]:
+    """Run the system from its initial conditions to the first boundary
+    event and read off the core prediction.
+
+    Raises ValueError when the start already sits outside the domain
+    (no heavy vertices, or mean heavy degree <= k+2) and StiffnessError when
+    the integrator stalls.
+    """
+    p = params.p
+    y0 = _initial_vector(params)
+    z_l0, z_b0, z_hv0 = y0[-3:]
+    heavy0 = z_b0 - z_l0
+    if z_hv0 <= 0.0:
+        raise ValueError(f"no heavy vertices at mu_bar={params.mu_bar}")
+    if heavy0 - (p.k + 2) * z_hv0 <= 0.0:
+        raise ValueError(
+            f"initial mean heavy degree {heavy0 / z_hv0:.6g} is not above k+2"
+        )
+
+    if z_l0 <= 0.0:
+        # mu_bar so large that no vertex starts light (the complement tail
+        # underflows): the whole graph is its own core
+        stats = _stats_from_state(params, 0.0, y0, "z_L")
+        ymat = y0.reshape(-1, 1)
+        traj = Trajectory(params, np.zeros(1), ymat, _read_states(p, ymat), dense=None)
+        return traj, stats
+
+    sol, x_star, y_star, terminated_by = _solve(_System(params), y0)
     xgrid = np.linspace(0.0, x_star, params.samples)
     ymat = sol.sol(xgrid)
-    nstate = 2 * sys.nb + 3
-    lam = np.empty(len(xgrid))
-    mu = np.empty(len(xgrid))
-    warm = None
-    for i in range(len(xgrid)):
-        zL = ymat[sys.i_zL, i]
-        zB = ymat[sys.i_zB, i]
-        zHV = ymat[sys.i_zHV, i]
-        heavy = zB - zL
-        if lambda_mode == "ode":
-            mu[i] = heavy / zHV if zHV > 0 else math.nan
-            lam[i] = ymat[-1, i]
-        elif zHV > 0 and heavy > 0 and heavy / zHV > p.k + 1 + 1e-9:
-            mu[i] = heavy / zHV
-            lam[i] = solve_lambda(mu[i], p.k, x0=warm)
-            warm = lam[i]
-        else:
-            mu[i] = math.nan
-            lam[i] = math.nan
-    traj = Trajectory(
-        params, lambda_mode, xgrid, ymat[:nstate], lam, mu, dense=sol.sol
-    )
-    stats = _stats_from_state(params, x_star, y_star, terminated_by)
-    return traj, stats
+    traj = Trajectory(params, xgrid, ymat, _read_states(p, ymat), dense=sol.sol)
+    return traj, _stats_from_state(params, x_star, y_star, terminated_by)
 
 
 def core_fixed_point(
@@ -596,25 +472,15 @@ def core_fixed_point(
             f"{MAX_FIXED_POINT_ITERATIONS} iterations (q = {q})"
         )
 
-    sizes = range(h, h - w, -1)
     edges = mu_bar / h
-    beta = {s: edges * math.comb(h, s) * q**s * (1.0 - q) ** (h - s) for s in sizes}
+    beta = {s: edges * math.comb(h, s) * q**s * (1.0 - q) ** (h - s) for s in p.sizes}
     x_star = edges * w * float(special.bdtr(h - w, h, q)) + sum(
         (h - s) * b for s, b in beta.items()
     )
     alpha = float(special.gammainc(k + 1, rate(q)))
     if alpha < EMPTY_CORE_ALPHA:
-        alpha, beta = 0.0, dict.fromkeys(sizes, 0.0)
-    demand = sum(p.sign_demand(s) * b for s, b in beta.items())
-    balls = sum(s * b for s, b in beta.items())
-    return CoreStats(
-        x_star=x_star,
-        alpha=alpha,
-        beta=beta,
-        kappa=demand / alpha if alpha else 0.0,
-        mu_hat=balls / alpha if alpha else 0.0,
-        terminated_by="fixed_point",
-    )
+        return _core_stats(p, x_star, "fixed_point")
+    return _core_stats(p, x_star, "fixed_point", alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -708,38 +574,8 @@ def trajectory_vs_trace(traj: Trajectory, trace: ProcessTrace) -> dict[str, floa
     if not mask.any():
         raise ValueError("trace and trajectory share no x-range")
     xs = xs[mask]
-    sys = _System(traj.params)
-    nb = sys.nb
-    ymat = traj.dense(xs)
-    zL = ymat[sys.i_zL]
-    zB = ymat[sys.i_zB]
-    zHV = ymat[sys.i_zHV]
-    heavy = zB - zL
-    cols = {"z_L": zL, "z_B": zB, "z_HV": zHV}
-    sizes = traj.sizes
-    bucketsL = [zL - ymat[:nb].sum(axis=0)] + [ymat[i] for i in range(nb)]
-    bucketsH = [heavy - ymat[nb : 2 * nb].sum(axis=0)] + [
-        ymat[nb + i] for i in range(nb)
-    ]
-    for s, colL, colH in zip(sizes, bucketsL, bucketsH):
-        cols[f"z_L_{s}"] = colL
-        cols[f"z_H_{s}"] = colH
-    k = traj.params.p.k
-    lam = np.empty(len(xs))
-    warm = None
-    for i in range(len(xs)):
-        mu_i = heavy[i] / zHV[i] if zHV[i] > 0 else 0.0
-        if mu_i > k + 1 + 1e-9:
-            warm = solve_lambda(mu_i, k, x0=warm)
-            lam[i] = warm
-        else:
-            lam[i] = 0.0
-    cols["z_A"] = np.array(
-        [
-            heavy_bucket_fraction(l, k) * v if l > 0 and v > 0 else 0.0
-            for l, v in zip(lam, zHV)
-        ]
-    )
+    cols = _read_states(traj.params.p, traj.dense(xs))
+    del cols["mu"], cols["lambda"]  # a trace counts balls and vertices only
     out = {}
     for name, series in cols.items():
         ref = scaled[name][mask]

@@ -75,9 +75,8 @@ class ProcessTrace:
     L_by_size: dict
 
     @property
-    def sizes(self) -> list[int]:
-        p = self.params
-        return list(range(p.h, p.h - p.w, -1))
+    def sizes(self) -> tuple[int, ...]:
+        return self.params.sizes
 
     def scaled(self) -> dict[str, np.ndarray]:
         scale = 1.0 / self.n_bar
@@ -266,7 +265,7 @@ class _RandomPeeler:
         self.edge_light = edge_light.tolist()
         self.B = D
         self.B_by_size, self.L_by_size = {}, {}
-        for s in range(p.h - p.w + 1, p.h + 1):
+        for s in p.sizes:
             self.B_by_size[s] = s * int(np.count_nonzero(sizes == s))
             self.L_by_size[s] = int(edge_light[sizes == s].sum())
         self.L = int(ball_light.sum())
@@ -448,8 +447,8 @@ def rancore(
             L=[],
             HV=[],
             A=[],
-            B_by_size={s: [] for s in range(p.h - p.w + 1, p.h + 1)},
-            L_by_size={s: [] for s in range(p.h - p.w + 1, p.h + 1)},
+            B_by_size={s: [] for s in p.sizes},
+            L_by_size={s: [] for s in p.sizes},
         )
     state.run(rng, tr)
     return state.result(tr)

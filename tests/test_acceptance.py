@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from ode_reference import integrate_lambda_state
 from oracles import (
     brute_force_core,
     expansion_condition,
@@ -323,11 +324,11 @@ def test_rate_inversion_and_tail_identities():
 
     # along a trajectory: the integrated rate equals the algebraic inverse
     params = OdeParams(OrientationParams(3, 2, 10), 14.766)
-    traj, _ = integrate(params, lambda_mode="ode")
-    algebraic = np.array([solve_lambda(m, 10) for m in traj.mu])
-    dev = float(np.max(np.abs(traj.lam - algebraic)))
+    _, lam, mu, _ = integrate_lambda_state(params)
+    algebraic = np.array([solve_lambda(m, 10) for m in mu])
+    dev = float(np.max(np.abs(lam - algebraic)))
     assert dev <= 1e-6
-    assert np.all(traj.lam <= traj.mu)
+    assert np.all(lam <= mu)
     _verdict(
         "rate inversion",
         f"round-trip {worst_rt:.1e}, 100 rational tails, "

@@ -1,0 +1,69 @@
+"""The package names the benchmark in perfbench/ reaches for.
+
+The traced run rebinds package functions in the namespace of the module
+that calls them, and the workloads call a few public names directly.  A
+refactor that moves one of them would make every benchmark operation
+fail; these checks make it fail here first.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+from wkorient import cli, models, ode, peeling  # noqa: E402
+
+
+def test_every_traced_boundary_resolves():
+    for module, attr, _, _ in tracing._BOUNDARIES:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_tracer_uninstall_restores_the_originals():
+    def bound():
+        return [getattr(module, attr) for module, attr, _, _ in tracing._BOUNDARIES]
+
+    before = bound()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(now is not was for now, was in zip(bound(), before))
+    finally:
+        tracer.uninstall()
+    assert all(now is was for now, was in zip(bound(), before))
+
+
+def test_names_the_workloads_use_exist():
+    # every `<module>.<name>` in workloads.py, plus the names it rebinds
+    modules = {"cli": cli, "models": models, "ode": ode, "peeling": peeling}
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    used |= {
+        (node.args[0].id, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_Capture"
+    }
+    assert {
+        ("cli", "ExperimentConfig"),
+        ("cli", "run_trial"),
+        ("cli", "rancore"),
+        ("cli", "orient"),
+        ("cli", "table1_rows"),
+        ("ode", "OdeParams"),
+        ("ode", "integrate"),
+        ("ode", "trajectory_vs_trace"),
+    } <= used
+    missing = sorted(f"{m}.{a}" for m, a in used if not hasattr(modules[m], a))
+    assert not missing

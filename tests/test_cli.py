@@ -15,7 +15,7 @@ from wkorient.hypergraph import (
     write_hypergraph,
 )
 from wkorient.models import RngSeed, sample_uniform_simple
-from wkorient.ode import ThresholdResult
+from wkorient.ode import BracketError, ThresholdResult
 
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n0 2\n"
 DOUBLE_ABC_TEXT = "3 2\n0 1 2\n0 1 2\n"
@@ -273,7 +273,7 @@ def test_table1_survives_row_failures(capsys, monkeypatch):
 
     def flaky(p, tol=1e-4):
         if p.h == 10:
-            raise RuntimeError("synthetic failure")
+            raise BracketError("synthetic failure")
         return ThresholdResult(
             mu_tilde=5.5, bracket=(5.4, 5.6), kappa_lo=3.9, kappa_hi=4.1,
             iterations=1, stats_lo=None, stats_hi=None, stats_at_threshold=None,
@@ -286,6 +286,18 @@ def test_table1_survives_row_failures(capsys, monkeypatch):
     assert lines[0].split(",")[:5] == ["h", "w", "k", "mu_tilde", "mu_hat"]
     failed = [ln for ln in lines[1:] if "synthetic failure" in ln]
     assert len(failed) == 1 and failed[0].startswith("10,")
+
+
+def test_table1_lets_other_errors_propagate(monkeypatch):
+    # only a threshold that cannot be found becomes a row; a bug does not
+    import wkorient.cli as cli
+
+    def broken(p, tol=1e-4):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(cli, "find_threshold", broken)
+    with pytest.raises(RuntimeError, match="synthetic bug"):
+        cli.table1_rows()
 
 
 # ---------------------------------------------------------------------------

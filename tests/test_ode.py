@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from ode_reference import integrate_lambda_state
 from oracles import classical_core_fixed_point
 from wkorient.hypergraph import OrientationParams
 from wkorient.models import RngSeed, sample_uniform_multi
@@ -13,9 +14,8 @@ from wkorient.ode import (
     DomainError,
     FixedPointError,
     OdeParams,
-    OdeState,
+    _System,
     core_fixed_point,
-    derivatives,
     f_star,
     find_threshold,
     integrate,
@@ -52,17 +52,12 @@ def test_ode_params_validation():
         OdeParams(P324, 5.0, rtol=0.0)
     with pytest.raises(ValueError):
         OdeParams(P324, 5.0, samples=1)
-    with pytest.raises(ValueError):
-        integrate(OdeParams(P324, 5.0), lambda_mode="magic")
 
 
-def test_state_vector_round_trip():
-    params = OdeParams(P324, 6.0, **FAST)
-    traj, _ = integrate(params)
-    mid = len(traj.x) // 2
-    state = OdeState.from_vector(traj.x[mid], traj.y[:, mid], params)
-    assert state.to_vector(params) == pytest.approx(traj.y[:, mid], abs=0.0)
-    assert state.z_B - state.z_L == pytest.approx(state.mu * state.z_HV)
+def test_columns_hold_the_mean_degree_identity():
+    traj, _ = integrate(OdeParams(P324, 6.0, **FAST))
+    cols = traj.columns()
+    assert cols["z_B"] - cols["z_L"] == pytest.approx(cols["mu"] * cols["z_HV"])
 
 
 def test_initial_ball_derivative():
@@ -75,13 +70,8 @@ def test_initial_ball_derivative():
     ]:
         params = OdeParams(p, mu_bar, **FAST)
         traj, _ = integrate(params)
-        i_zB = 2 * (p.w - 1) + 1
-        rates = [
-            derivatives(OdeState.from_vector(traj.x[i], traj.y[:, i], params), params)[
-                i_zB
-            ]
-            for i in range(len(traj.x))
-        ]
+        sys = _System(params)
+        rates = [sys.rhs(x, y)[sys.i_zB] for x, y in zip(traj.x, traj.y.T)]
         assert rates[0] == pytest.approx(want, abs=1e-9)
         assert max(rates) <= -1.0 + 1e-9
 
@@ -159,8 +149,9 @@ def test_w1_reduction_matches_classical_fixed_points():
 
 
 def test_lambda_modes_agree():
+    # the integrated rate of the reference against the algebraic inverse
     _, alg = _solve(P324, 5.485)
-    _, via_ode = integrate(OdeParams(P324, 5.485, **FAST), lambda_mode="ode")
+    *_, via_ode = integrate_lambda_state(OdeParams(P324, 5.485, **FAST))
     assert via_ode.kappa == pytest.approx(alg.kappa, abs=1e-8)
     assert via_ode.alpha == pytest.approx(alg.alpha, abs=1e-8)
     assert via_ode.x_star == pytest.approx(alg.x_star, abs=1e-8)
