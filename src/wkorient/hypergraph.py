@@ -54,7 +54,7 @@ class OrientationParams:
     def min_edge_size(self) -> int:
         return self.h - self.w + 1
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         """Admissible residual edge sizes, largest first: h, h-1, .., h-w+1."""
         return tuple(range(self.h, self.min_edge_size - 1, -1))

@@ -268,9 +268,8 @@ def test_threshold_stays_below_counting_bound():
 
 
 def test_trajectory_vs_trace_is_pinned():
-    # repr of every deviation of one seeded n = 2000 randomized trace,
-    # recorded before the state reader was shared between the sample grid,
-    # the columns and this comparison
+    # repr of every deviation of one seeded n = 2000 randomized trace: any
+    # change in how a state matrix is read into columns shows up here
     n = 2000
     H = sample_uniform_multi(n, round(5.0 * n / 3), 3, RngSeed(5, 1).generator())
     pr = rancore(H, P324, mode="randomized", rng=RngSeed(5, 2).generator(), trace=True)
