@@ -310,12 +310,23 @@ GOLDEN = {
     "core_hi": ("f2353044922c87e38578b36d15bebd0bb310c1668c488249b3e33065537ac14d", 71809),
     "orient_lo": ("a86d7b73a5df18079d6bb9572d69e6e3e57c8f0c69f5d6bf0a54468b4c255d9d", 74973),
     "orient_hi": ("a6634c86a465987be52eeb98b86e005fa60feaf680882fb3f2ea4c8ace035d98", 9374),
+    "orient_lo_json": ("855a6c04e44a69239349cb7ea8bfeb08ac19e349fedc067beff39b09b961021b", 215061),
     "orient_hi_json": ("890ca2456fe1aa5235ae47beb51610d3a525dd9003b2a6c1d6c6e8a3dabcd7f5", 19550),
     "stats_hi_csv": ("a24d4580192ff7f4b41936c4689f1cf1c77925869a0df53ae763f330d94e3e7e", 127),
     "stats_hi_json": ("5d05948f3160fa1b3b883ae5da8cf6d58505585b37349dea14664a64916607c2", 256),
     "simulate_json": ("7fb1d8e9988d908506d67b9cd51f741036bbe4bf3a490db567f0581dbc960fc3", 1233),
+    "simulate_csv": ("b8f2e1ed85fc7c81fc5cf181045ac348c5a70d048818f4499c54ee8422ec2a0c", 319),
+    "simulate_bracket_csv": ("7ac3c8e5ff2aa784fcc568da74250358aba1caaa302d27fc1bbcdd4dbaba68fd", 797),
+    "simulate_bracket_json": ("d52a0129e1888e65b6d2c7712ea3d7930a48e02db21df7d97c601701b7172d73", 3615),
+    "core_profile_csv": ("23bdcc17075aff20f6c417354c5bd31523392d23e1afb8a35297bb8449129fb6", 543),
+    "core_profile_json": ("0974729f42d3f3f5396203efc2f64e9779475228ae49ca72985a47154f16c515", 1723),
+    "threshold_csv": ("156e974ba8f5d10213e0930d8562167f92b360e0ea4c74af9afb47137e4ffe04", 56),
+    "threshold_json": ("68a2ae981bd815a083c64b742da01aad3a4e0103ba7d38af7271c2258091295a", 549),
+    "table1_csv": ("d46e8fc8ae6eec2abc18850361f9a56690d366f32accb710126ca37a24506648", 538),
+    "table1_json": ("74d43547b04342851b52fba5f43667738c25595185812d4d46591f71f1ae0569", 1381),
     "ode_311_json": ("b1f235fed36820076bbc1dd7a1a8dd640e5cb9bf610587ab497d244e86c764c2", 269),
     "ode_311_csv": ("0d844282c79ce463f0200313e806675a0953b11c9974b0abc30e26045fec5e4f", 59825),
+    "ode_211_json": ("75dc93fb4a87f564cee5fb0839a8bf889d6cb57504853d9a6f1c5ecf3c141296", 175),
     "ode_211_csv": ("d43c949e146a7c822d95881f6c806751a433718f55843bc54662c3786307b7d9", 64),
     "ode_324_json": ("1a9344bc64cd0a843365147943477f252c7022319e83d7f953c00e6aeb532caa", 355),
     "ode_324_csv": ("3c3fa19a3c2a6f1e782508b4afae472846479b7aab2a161431581f3a573b2272", 74429),
@@ -327,23 +338,41 @@ def test_seeded_outputs_are_byte_identical(tmp_path, monkeypatch):
 
     monkeypatch.setenv("WKORIENT_WORKERS", "1")
     hwk = ["--h", "3", "--w", "2", "--k", "4"]
+    json_ = ["--format", "json"]
     lo, hi = str(tmp_path / "gen_lo"), str(tmp_path / "gen_hi")
+    single = ["simulate", *hwk, "--n", "2000", "--mu", "5.5", "--trials", "4", "--seed", "3"]
+    bracket = ["simulate", *hwk, "--n", "400", "--mu", "5.2", "--mu", "5.8",
+               "--trials", "3", "--seed", "2", "--tol", "0.2"]
+    profile = ["core-profile", *hwk, "--n", "3000", "--mu", "6.0", "--trials", "3",
+               "--seed", "3"]
+    threshold = ["threshold", *hwk, "--tol", "0.01"]
     runs = [
         ("gen_lo", ["gen", "--h", "3", "--n", "3000", "--mu", "5.0", "--seed", "11"], 0),
         ("gen_hi", ["gen", "--h", "3", "--n", "3000", "--mu", "5.9", "--seed", "12"], 0),
         ("core_hi", ["core", hi, *hwk], 0),
         ("orient_lo", ["orient", lo, *hwk], 0),  # orientable
+        ("orient_lo_json", ["orient", lo, *hwk, *json_], 0),
         ("orient_hi", ["orient", hi, *hwk], 2),  # witness
         ("orient_hi_json", ["orient", hi, *hwk, "--format", "json"], 2),
         ("stats_hi_csv", ["stats", hi, *hwk], 0),
         ("stats_hi_json", ["stats", hi, *hwk, "--format", "json"], 0),
-        ("simulate_json", ["simulate", *hwk, "--n", "2000", "--mu", "5.5",
-                           "--trials", "4", "--seed", "3", "--format", "json"], 0),
+        ("simulate_json", [*single, *json_], 0),
+        ("simulate_csv", single, 0),
+        ("simulate_bracket_csv", bracket, 0),
+        ("simulate_bracket_json", [*bracket, *json_], 0),
+        ("core_profile_csv", profile, 0),
+        ("core_profile_json", [*profile, *json_], 0),
+        ("threshold_csv", threshold, 0),
+        ("threshold_json", [*threshold, *json_], 0),
+        ("table1_csv", ["table1"], 0),
+        ("table1_json", ["table1", *json_], 0),
         # mu_floor ending, both formats
         ("ode_311_json", ["ode", "--h", "3", "--w", "1", "--k", "1", "--mu", "2.75",
                           "--format", "json"], 0),
         ("ode_311_csv", ["ode", "--h", "3", "--w", "1", "--k", "1", "--mu", "2.75"], 0),
-        # integration does not start
+        # integration does not start, both formats
+        ("ode_211_json", ["ode", "--h", "2", "--w", "1", "--k", "1", "--mu", "1.5",
+                          *json_], 0),
         ("ode_211_csv", ["ode", "--h", "2", "--w", "1", "--k", "1", "--mu", "1.5"], 0),
         ("ode_324_json", ["ode", *hwk, "--mu", "5.0", "--format", "json"], 0),
         ("ode_324_csv", ["ode", *hwk, "--mu", "5.485"], 0),
