@@ -2,9 +2,10 @@
 
 Single-instance file tools (``gen``, ``core``, ``orient``, ``stats``) operate
 on the shared hypergraph format; experiment commands (``ode``, ``threshold``,
-``simulate``, ``core-profile``, ``table1``) run the numeric machinery and
-emit CSV or JSON.  Exit codes: 0 success (orientable), 2 decided
-non-orientable, 1 anything went wrong.
+``simulate``, ``core-profile``, ``table1``) run the numeric machinery.
+Each command builds one report, which ``_emit`` writes as JSON or CSV
+(``orient`` and ``ode`` keep their own text forms).  Exit codes: 0 success
+(orientable), 2 decided non-orientable, 1 anything went wrong.
 
 Trials are reproducible from (master seed, trial index) alone: each one owns
 an RNG stream keyed by its index, and results are merged by index, so the
@@ -44,6 +45,7 @@ from .ode import (
     CoreStats,
     DomainError,
     FixedPointError,
+    InitialStateError,
     OdeParams,
     core_fixed_point,
     find_threshold,
@@ -229,10 +231,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
+def _csv_text(columns: Sequence[str], rows: Sequence[dict]) -> str:
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -271,21 +273,37 @@ def _write_text(out: Optional[str], text: str) -> None:
         fh.write(text)
 
 
-def _open_in(path: str) -> TextIO:
-    return sys.stdin if path == "-" else open(path)
+def _emit(
+    args, command: str, payload: dict, columns=None, rows=None, code: int = 0
+) -> int:
+    """Write a command's one report to --out and return its exit code: the
+    payload as the JSON document, or ``rows`` (default: the payload as the
+    only row) read through ``columns`` (default: the first row's keys) as
+    the CSV table."""
+    if args.format == "json":
+        text = _json_text(command, payload)
+    else:
+        rows = [payload] if rows is None else rows
+        text = _csv_text(list(rows[0]) if columns is None else columns, rows)
+    _write_text(args.out, text)
+    return code
 
 
-def _record_rows(records: Sequence[TrialRecord], sizes: Sequence[int]):
-    header = ["mu_bar", "trial", "stream", "n_core"]
-    header += [f"m_{s}" for s in sizes]
-    header += ["kappa", "mu_hat", "orientable"]
-    rows = []
-    for r in records:
-        row = [r.mu_bar, r.trial, r.stream, r.n_core]
-        row += [r.m_core.get(s, 0) for s in sizes]
-        row += [r.kappa, r.mu_hat, r.orientable]
-        rows.append(row)
-    return header, rows
+def _read_input(path: str) -> Hypergraph:
+    """The hypergraph in the file at path, or on stdin for '-'."""
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        return read_hypergraph(fh)
+
+
+def _params(args) -> OrientationParams:
+    return OrientationParams(args.h, args.w, args.k)
+
+
+def _config(args, mu_bar: float, check_orientability: bool = False) -> ExperimentConfig:
+    return ExperimentConfig(
+        args.h, args.w, args.k, args.n, mu_bar, args.trials, args.seed,
+        check_orientability=check_orientability,
+    )
 
 
 def _record_dict(r: TrialRecord) -> dict:
@@ -294,6 +312,18 @@ def _record_dict(r: TrialRecord) -> dict:
         d.pop(key)
     d["m_core"] = {str(s): c for s, c in sorted(r.m_core.items())}
     return d
+
+
+def _record_row(r: TrialRecord, sizes: Sequence[int]) -> dict:
+    """The CSV row of a record: its report fields, with m_core spread over
+    one m_<s> column per admissible size."""
+    row = {}
+    for key, value in _record_dict(r).items():
+        if key == "m_core":
+            row.update((f"m_{s}", r.m_core.get(s, 0)) for s in sizes)
+        else:
+            row[key] = value
+    return row
 
 
 def _stats_dict(stats: CoreStats) -> dict:
@@ -574,8 +604,6 @@ def table1_rows(tol: float = 1e-4) -> list[dict]:
 
 
 def _cmd_gen(args) -> int:
-    if args.m is None and args.mu is None:
-        raise SystemExit("gen: need --m or --mu")
     m = args.m if args.m is not None else round(args.mu * args.n / args.h)
     rng = RngSeed(args.seed).generator()
     H = sample_uniform_multi(args.n, m, args.h, rng)
@@ -586,10 +614,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_core(args) -> int:
-    p = OrientationParams(args.h, args.w, args.k)
-    with _open_in(args.input) as fh:
-        H = read_hypergraph(fh)
-    pr = rancore(H, p)
+    p = _params(args)
+    pr = rancore(_read_input(args.input), p)
     st = core_statistics(pr, p)
     with _open_out(args.out) as out:
         out.write(
@@ -603,79 +629,52 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_orient(args) -> int:
-    p = OrientationParams(args.h, args.w, args.k)
-    with _open_in(args.input) as fh:
-        H = read_hypergraph(fh)
-    result = orient(H, p)
-    if isinstance(result, Orientation):
-        if args.format == "json":
-            text = _json_text(
-                "orient",
-                {
-                    "orientable": True,
-                    "signs": {str(i): list(s) for i, s in enumerate(result.signs)},
-                },
-            )
-        else:
-            lines = [
-                f"{i}: " + " ".join(str(v) for v in s)
-                for i, s in enumerate(result.signs)
-            ]
-            text = "\n".join(lines) + "\n"
-        _write_text(args.out, text)
-        return 0
-    witness: CutWitness = result
+    result = orient(_read_input(args.input), _params(args))
+    code = 0 if isinstance(result, Orientation) else 2
     if args.format == "json":
-        payload = {"orientable": False}
-        if witness.degenerate_edge is not None:
-            payload["degenerate_edge"] = witness.degenerate_edge
-        else:
-            payload["S"] = list(witness.S)
-            payload["kappa_S"] = str(witness.kappa_S)
-        text = _json_text("orient", payload)
-    elif witness.degenerate_edge is not None:
-        text = f"non-orientable\ndegenerate-edge: {witness.degenerate_edge}\n"
+        return _emit(args, "orient", _orient_payload(result), code=code)
+    if code == 0:
+        lines = [f"{i}: " + " ".join(map(str, s)) for i, s in enumerate(result.signs)]
+        text = "\n".join(lines) + "\n"
+    elif result.degenerate_edge is not None:
+        text = f"non-orientable\ndegenerate-edge: {result.degenerate_edge}\n"
     else:
-        text = (
-            "non-orientable\n"
-            "S: " + " ".join(str(v) for v in witness.S) + "\n"
-            f"kappa: {witness.kappa_S}\n"
-        )
+        S = " ".join(map(str, result.S))
+        text = f"non-orientable\nS: {S}\nkappa: {result.kappa_S}\n"
     _write_text(args.out, text)
-    return 2
+    return code
+
+
+def _orient_payload(result: Orientation | CutWitness) -> dict:
+    if isinstance(result, Orientation):
+        signs = {str(i): list(s) for i, s in enumerate(result.signs)}
+        return {"orientable": True, "signs": signs}
+    if result.degenerate_edge is not None:
+        return {"orientable": False, "degenerate_edge": result.degenerate_edge}
+    return {"orientable": False, "S": list(result.S), "kappa_S": str(result.kappa_S)}
 
 
 def _cmd_stats(args) -> int:
     p = OrientationParams(args.h, args.w, max(args.k, 1))
-    with _open_in(args.input) as fh:
-        H = read_hypergraph(fh)
+    H = _read_input(args.input)
     H.validate_sizes(p)
     degrees = H.degrees()
     sizes = dict(sorted(H.edge_size_counts().items(), reverse=True))
     kappa = w_density(H, p) if H.n else Fraction(0)
-    demand = int(H.sign_demands(p).sum())
     payload = {
         "n": H.n,
         "m": H.num_edges,
         "edges_by_size": {str(s): c for s, c in sizes.items()},
-        "total_demand": demand,
+        "total_demand": int(H.sign_demands(p).sum()),
         "kappa": str(kappa),
         "kappa_float": float(kappa),
         "min_degree": min(degrees) if degrees else 0,
         "max_degree": max(degrees) if degrees else 0,
         "mean_degree": H.total_degree / H.n if H.n else 0.0,
     }
-    if args.format == "json":
-        text = _json_text("stats", payload)
-    else:
-        flat = dict(payload)
-        flat.pop("edges_by_size")
-        for s, c in sizes.items():
-            flat[f"m_{s}"] = c
-        header = list(flat)
-        text = _csv_text(header, [[flat[c] for c in header]])
-    _write_text(args.out, text)
-    return 0
+    row = {key: v for key, v in payload.items() if key != "edges_by_size"}
+    row.update((f"m_{s}", c) for s, c in sizes.items())
+    return _emit(args, "stats", payload, rows=[row])
 
 
 def _warn_no_core_ending(p: OrientationParams, mu_bar: float, ending: str) -> None:
@@ -689,199 +688,138 @@ def _warn_no_core_ending(p: OrientationParams, mu_bar: float, ending: str) -> No
 
 
 def _cmd_ode(args) -> int:
-    p = OrientationParams(args.h, args.w, args.k)
+    p = _params(args)
     kwargs = {}
     if args.tol is not None:
         kwargs = {"rtol": args.tol, "atol": args.tol * 1e-2}
     params = OdeParams(p, args.mu, **kwargs)
+    payload = {"h": p.h, "w": p.w, "k": p.k, "mu_bar": args.mu}
     try:
         traj, stats = integrate(params)
-    except ValueError as exc:
+    except InitialStateError as exc:
         # start outside the domain: an honest empty-core report
         _warn_no_core_ending(p, args.mu, f"integration did not start ({exc})")
-        if args.format == "json":
-            text = _json_text(
-                "ode",
-                {
-                    "h": p.h, "w": p.w, "k": p.k, "mu_bar": args.mu,
-                    "stats": None,
-                    "reason": str(exc),
-                },
-            )
-        else:
-            text = f"# empty core: {exc}\n"
-        _write_text(args.out, text)
-        return 0
-    if stats.terminated_by != "z_L":
-        _warn_no_core_ending(
-            p, args.mu, f"integration ended at {stats.terminated_by}, not z_L"
-        )
-    if args.format == "json":
-        text = _json_text(
-            "ode",
-            {
-                "h": p.h, "w": p.w, "k": p.k, "mu_bar": args.mu,
-                "stats": _stats_dict(stats),
-            },
-        )
-        _write_text(args.out, text)
+        traj = None
+        payload.update(stats=None, reason=str(exc))
     else:
-        with _open_out(args.out) as fh:
-            traj.to_csv(fh)
-        print(
-            f"x*={stats.x_star:.9g} alpha={stats.alpha:.9g} "
-            f"kappa={stats.kappa:.9g} mu_hat={stats.mu_hat:.9g} "
-            f"terminated_by={stats.terminated_by}",
-            file=sys.stderr,
-        )
+        if stats.terminated_by != "z_L":
+            _warn_no_core_ending(
+                p, args.mu, f"integration ended at {stats.terminated_by}, not z_L"
+            )
+        payload["stats"] = _stats_dict(stats)
+    if args.format == "json":
+        return _emit(args, "ode", payload)
+    if traj is None:
+        _write_text(args.out, f"# empty core: {payload['reason']}\n")
+        return 0
+    with _open_out(args.out) as fh:
+        traj.to_csv(fh)
+    print(
+        f"x*={stats.x_star:.9g} alpha={stats.alpha:.9g} "
+        f"kappa={stats.kappa:.9g} mu_hat={stats.mu_hat:.9g} "
+        f"terminated_by={stats.terminated_by}",
+        file=sys.stderr,
+    )
     return 0
 
 
 def _cmd_threshold(args) -> int:
-    p = OrientationParams(args.h, args.w, args.k)
+    p = _params(args)
     res = find_threshold(p, tol=args.tol)
-    if args.format == "json":
-        text = _json_text(
-            "threshold",
-            {
-                "h": p.h, "w": p.w, "k": p.k,
-                "mu_tilde": res.mu_tilde,
-                "mu_hat": res.mu_hat,
-                "bracket": list(res.bracket),
-                "kappa_lo": res.kappa_lo,
-                "kappa_hi": res.kappa_hi,
-                "iterations": res.iterations,
-                "stats_at_threshold": (
-                    _stats_dict(res.stats_at_threshold)
-                    if res.stats_at_threshold
-                    else None
-                ),
-            },
-        )
-    else:
-        text = _csv_text(
-            ["h", "w", "k", "mu_tilde", "mu_hat"],
-            [[p.h, p.w, p.k, res.mu_tilde, res.mu_hat]],
-        )
-    _write_text(args.out, text)
-    return 0
+    at = res.stats_at_threshold
+    payload = {
+        "h": p.h, "w": p.w, "k": p.k,
+        "mu_tilde": res.mu_tilde,
+        "mu_hat": res.mu_hat,
+        "bracket": list(res.bracket),
+        "kappa_lo": res.kappa_lo,
+        "kappa_hi": res.kappa_hi,
+        "iterations": res.iterations,
+        "stats_at_threshold": _stats_dict(at) if at else None,
+    }
+    return _emit(args, "threshold", payload, ["h", "w", "k", "mu_tilde", "mu_hat"])
 
 
 def _cmd_simulate(args) -> int:
-    p = OrientationParams(args.h, args.w, args.k)
     mus = args.mu or []
+    if len(mus) > 2:
+        raise SystemExit("simulate: give at most two --mu (a bisection bracket)")
+    p = _params(args)
     if len(mus) == 1:
         # single-point mode: orientable fraction at one mean degree
-        cfg = ExperimentConfig(
-            p.h, p.w, p.k, args.n, mus[0], args.trials, args.seed,
-            check_orientability=True,
-        )
+        cfg = _config(args, mus[0], check_orientability=True)
         records = _run_batch(cfg, stream_base=0)
         frac = sum(1 for r in records if r.orientable) / len(records)
-        sizes = p.sizes
-        if args.format == "json":
-            text = _json_text(
-                "simulate",
-                {
-                    "h": p.h, "w": p.w, "k": p.k, "n": args.n,
-                    "trials": args.trials, "seed": args.seed,
-                    "mu_bar": mus[0],
-                    "fraction_orientable": frac,
-                    "half_width": _wald_half_width(frac, args.trials),
-                    "records": [_record_dict(r) for r in records],
-                },
-            )
-        else:
-            header, rows = _record_rows(records, sizes)
-            text = _csv_text(header, rows)
-        _write_text(args.out, text)
-        return 0
-    bracket = (mus[0], mus[1]) if len(mus) >= 2 else None
-    report = simulate_threshold(
-        p, args.n, args.trials, args.seed,
-        tol=args.tol,
-        bracket=bracket,
-    )
-    sizes = p.sizes
-    if args.format == "json":
-        text = _json_text(
-            "simulate",
-            {
-                "h": p.h, "w": p.w, "k": p.k, "n": args.n,
-                "trials": args.trials, "seed": args.seed,
-                "estimate": report.estimate,
-                "half_width": report.half_width,
-                "bracket": list(report.bracket),
-                "ode_threshold": report.ode_threshold,
-                "probes": [
-                    {"mu_bar": mu, "fraction": f, "half_width": hw}
-                    for mu, f, hw in report.probes
-                ],
-                "records": [_record_dict(r) for r in report.records],
-            },
-        )
+        mode = {
+            "mu_bar": mus[0],
+            "fraction_orientable": frac,
+            "half_width": _wald_half_width(frac, args.trials),
+        }
     else:
-        header, rows = _record_rows(report.records, sizes)
-        text = _csv_text(header, rows)
+        report = simulate_threshold(
+            p, args.n, args.trials, args.seed, tol=args.tol, bracket=tuple(mus) or None
+        )
+        records = report.records
+        mode = {
+            "estimate": report.estimate,
+            "half_width": report.half_width,
+            "bracket": list(report.bracket),
+            "ode_threshold": report.ode_threshold,
+            "probes": [
+                {"mu_bar": mu, "fraction": f, "half_width": hw}
+                for mu, f, hw in report.probes
+            ],
+        }
         print(
             f"estimate={report.estimate!r} half_width={report.half_width!r}",
             file=sys.stderr,
         )
-    _write_text(args.out, text)
-    return 0
+    payload = {
+        "h": p.h, "w": p.w, "k": p.k, "n": args.n,
+        "trials": args.trials, "seed": args.seed,
+        **mode,
+        "records": [_record_dict(r) for r in records],
+    }
+    rows = [_record_row(r, p.sizes) for r in records]
+    return _emit(args, "simulate", payload, rows=rows)
 
 
 def _cmd_core_profile(args) -> int:
-    if args.mu is None or len(args.mu) != 1:
+    if len(args.mu) != 1:
         raise SystemExit("core-profile: need exactly one --mu")
-    cfg = ExperimentConfig(
-        args.h, args.w, args.k, args.n, args.mu[0], args.trials, args.seed
-    )
+    cfg = _config(args, args.mu[0])
     report = core_profile(cfg)
-    sizes = cfg.params.sizes
-    if args.format == "json":
-        text = _json_text(
-            "core-profile",
-            {
-                "config": dataclasses.asdict(cfg),
-                "prediction": _stats_dict(report.prediction),
-                "mean_alpha": report.mean_alpha,
-                "mean_beta": {str(s): b for s, b in report.mean_beta.items()},
-                "mean_kappa": report.mean_kappa,
-                "mean_mu_hat": report.mean_mu_hat,
-                "deviations": report.deviations,
-                "chi2": {
-                    "stat": report.chi2_stat,
-                    "pvalue": report.chi2_pvalue,
-                    "dof": report.chi2_dof,
-                },
-                "records": [_record_dict(r) for r in report.records],
-            },
-        )
-    else:
-        pred = report.prediction
-        header = ["kind", "mu_bar", "alpha"]
-        header += [f"beta_{s}" for s in sizes]
-        header += ["kappa", "mu_hat", "chi2_pvalue"]
-        rows = [
-            ["prediction", cfg.mu_bar, pred.alpha]
-            + [pred.beta.get(s, 0.0) for s in sizes]
-            + [pred.kappa, pred.mu_hat, None]
-        ]
-        rows.append(
-            ["trial-mean", cfg.mu_bar, report.mean_alpha]
-            + [report.mean_beta[s] for s in sizes]
-            + [report.mean_kappa, report.mean_mu_hat, report.chi2_pvalue]
-        )
-        for r in report.records:
-            rows.append(
-                [f"trial-{r.trial}", r.mu_bar, r.n_core / cfg.n]
-                + [r.m_core.get(s, 0) / cfg.n for s in sizes]
-                + [r.kappa, r.mu_hat, None]
-            )
-        text = _csv_text(header, rows)
-    _write_text(args.out, text)
-    return 0
+    pred = report.prediction
+    payload = {
+        "config": dataclasses.asdict(cfg),
+        "prediction": _stats_dict(pred),
+        "mean_alpha": report.mean_alpha,
+        "mean_beta": {str(s): b for s, b in report.mean_beta.items()},
+        "mean_kappa": report.mean_kappa,
+        "mean_mu_hat": report.mean_mu_hat,
+        "deviations": report.deviations,
+        "chi2": {
+            "stat": report.chi2_stat,
+            "pvalue": report.chi2_pvalue,
+            "dof": report.chi2_dof,
+        },
+        "records": [_record_dict(r) for r in report.records],
+    }
+
+    def row(kind, alpha, beta, kappa, mu_hat, chi2_pvalue=None):
+        betas = {f"beta_{s}": beta.get(s, 0.0) for s in cfg.params.sizes}
+        return {"kind": kind, "mu_bar": cfg.mu_bar, "alpha": alpha, **betas,
+                "kappa": kappa, "mu_hat": mu_hat, "chi2_pvalue": chi2_pvalue}
+
+    rows = [
+        row("prediction", pred.alpha, pred.beta, pred.kappa, pred.mu_hat),
+        row("trial-mean", report.mean_alpha, report.mean_beta, report.mean_kappa,
+            report.mean_mu_hat, report.chi2_pvalue),
+    ]
+    for r in report.records:
+        beta = {s: c / cfg.n for s, c in r.m_core.items()}
+        rows.append(row(f"trial-{r.trial}", r.n_core / cfg.n, beta, r.kappa, r.mu_hat))
+    return _emit(args, "core-profile", payload, rows=rows)
 
 
 def _cmd_table1(args) -> int:
@@ -891,12 +829,8 @@ def _cmd_table1(args) -> int:
         "ref_mu_tilde", "ref_mu_hat", "delta_mu_tilde", "delta_mu_hat",
         "trivial_bound", "error",
     ]
-    if args.format == "json":
-        text = _json_text("table1", {"rows": rows})
-    else:
-        text = _csv_text(columns, [[row[c] for c in columns] for row in rows])
-    _write_text(args.out, text)
-    return 0 if all(not row["error"] for row in rows) else 1
+    code = 0 if all(not row["error"] for row in rows) else 1
+    return _emit(args, "table1", {"rows": rows}, columns, rows, code)
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +848,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, w=True, k=True):
+    def common(sp):
         sp.add_argument("--h", type=int, required=True, help="edge size")
-        if w:
-            sp.add_argument("--w", type=int, required=True, help="signs per edge")
-        if k:
-            sp.add_argument("--k", type=int, required=True, help="indegree cap")
+        sp.add_argument("--w", type=int, required=True, help="signs per edge")
+        sp.add_argument("--k", type=int, required=True, help="indegree cap")
 
     def io_flags(sp):
         sp.add_argument("--out", help="output path (default stdout)")
@@ -931,8 +863,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen", help="sample a random hypergraph to a file")
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--n", type=int, required=True, help="vertices")
-    sp.add_argument("--m", type=int, help="edges")
-    sp.add_argument("--mu", type=float, help="mean degree (sets m=round(mu*n/h))")
+    size = sp.add_mutually_exclusive_group(required=True)
+    size.add_argument("--m", type=int, help="edges")
+    size.add_argument("--mu", type=float, help="mean degree (sets m=round(mu*n/h))")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_gen)

@@ -108,15 +108,6 @@ class _Rows:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __getattr__(self, name):
-        # an instance assembled from its tuple view alone derives its arrays
-        view = self.__dict__.get(self._view_name)
-        if name not in ("ptr", "verts") or view is None:
-            raise AttributeError(name)
-        ptr, verts = _csr(tuple(sorted(r)) for r in view)
-        self.__dict__.update(ptr=ptr, verts=verts)
-        return self.__dict__[name]
-
     def _rows_view(self) -> tuple[tuple[int, ...], ...]:
         flat, bounds = self.verts.tolist(), self.ptr.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))

@@ -50,6 +50,7 @@ __all__ = [
     "StiffnessError",
     "BracketError",
     "DomainError",
+    "InitialStateError",
     "FixedPointError",
     "f_star",
     "integrate",
@@ -69,6 +70,11 @@ class BracketError(RuntimeError):
 
 class DomainError(ValueError):
     """A mean degree outside (0, inf): the random model is undefined there."""
+
+
+class InitialStateError(ValueError):
+    """The ODE's start already lies outside its domain: no heavy vertices,
+    or a mean heavy degree not above k+2."""
 
 
 class FixedPointError(RuntimeError):
@@ -400,7 +406,7 @@ def integrate(params: OdeParams) -> tuple[Trajectory, CoreStats]:
     """Run the system from its initial conditions to the first boundary
     event and read off the core prediction.
 
-    Raises ValueError when the start already sits outside the domain
+    Raises InitialStateError when the start already sits outside the domain
     (no heavy vertices, or mean heavy degree <= k+2) and StiffnessError when
     the integrator stalls.
     """
@@ -409,9 +415,9 @@ def integrate(params: OdeParams) -> tuple[Trajectory, CoreStats]:
     z_l0, z_b0, z_hv0 = y0[-3:]
     heavy0 = z_b0 - z_l0
     if z_hv0 <= 0.0:
-        raise ValueError(f"no heavy vertices at mu_bar={params.mu_bar}")
+        raise InitialStateError(f"no heavy vertices at mu_bar={params.mu_bar}")
     if heavy0 - (p.k + 2) * z_hv0 <= 0.0:
-        raise ValueError(
+        raise InitialStateError(
             f"initial mean heavy degree {heavy0 / z_hv0:.6g} is not above k+2"
         )
 

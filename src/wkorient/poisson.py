@@ -217,9 +217,6 @@ class TruncatedPoisson:
                 raise RuntimeError("cdf table failed to accumulate")
         return np.asarray(out)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(self.sample_array(rng, 1)[0])
-
     def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inversion sampling with a tail guard.
 

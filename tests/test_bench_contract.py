@@ -67,3 +67,31 @@ def test_names_the_workloads_use_exist():
     } <= used
     missing = sorted(f"{m}.{a}" for m, a in used if not hasattr(modules[m], a))
     assert not missing
+
+
+def test_traced_file_chain_records_every_layer(tmp_path, capsys):
+    # the file tools must reach the reader, writer, peel and flow through
+    # the names the tracer rebinds, or their per-layer metrics read zero
+    src, core = str(tmp_path / "g.hg"), str(tmp_path / "g.core")
+    hwk = ["--h", "3", "--w", "2", "--k", "4"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main(["gen", "--h", "3", "--n", "300", "--mu", "5.0", "--seed", "1",
+                      "--out", src]),
+            cli.main(["core", src, *hwk, "--out", core]),
+            cli.main(["orient", core, *hwk, "--out", str(tmp_path / "o.txt")]),
+            cli.main(["stats", src, *hwk, "--out", str(tmp_path / "s.csv")]),
+        ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0, 0]
+    names = {span[1] for span in tracer.spans}
+    assert {
+        "cli.main",
+        "hypergraph.read_hypergraph",
+        "hypergraph.write_hypergraph",
+        "flow.orient",
+    } <= names
+    assert any(name.startswith("peeling.rancore.") for name in names)

@@ -52,6 +52,8 @@ def test_gen_mu_sets_edge_count(tmp_path):
 def test_gen_requires_a_size():
     with pytest.raises(SystemExit):
         main(["gen", "--h", "3", "--n", "30"])
+    with pytest.raises(SystemExit):  # one size, not two
+        main(["gen", "--h", "3", "--n", "30", "--m", "5", "--mu", "9"])
 
 
 def test_orient_exit_codes(tmp_path, capsys):
@@ -176,6 +178,24 @@ def test_ode_outside_domain_reports_empty_core(capsys):
     assert "k+2" in payload["reason"]
 
 
+def test_ode_reports_other_value_errors(tmp_path, monkeypatch, capsys):
+    # only a start outside the domain is an empty-core report; any other
+    # ValueError from the integrator is an error, with no report written
+    import wkorient.cli as cli
+
+    def broken(params):
+        raise ValueError("synthetic bug")
+
+    monkeypatch.setattr(cli, "integrate", broken)
+    out = tmp_path / "ode.json"
+    argv = ["ode", "--h", "3", "--w", "2", "--k", "4", "--mu", "2.0", "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "synthetic bug" in captured.err
+
+
 def test_threshold_csv(capsys):
     code = main(["threshold", "--h", "3", "--w", "2", "--k", "4", "--tol", "0.01"])
     assert code == 0
@@ -211,6 +231,12 @@ def test_simulate_explicit_bracket(capsys):
     assert payload["bracket"][1] - payload["bracket"][0] <= 0.2
     assert 5.2 <= payload["estimate"] <= 5.8
     assert payload["probes"][0]["fraction"] >= 0.5
+
+
+def test_simulate_rejects_a_third_mu():
+    with pytest.raises(SystemExit, match="at most two --mu"):
+        main(["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "400",
+              "--mu", "5.2", "--mu", "5.8", "--mu", "9"])
 
 
 def test_core_profile_requires_one_mu(capsys):
@@ -340,7 +366,8 @@ def test_seeded_outputs_are_byte_identical(tmp_path, monkeypatch):
     hwk = ["--h", "3", "--w", "2", "--k", "4"]
     json_ = ["--format", "json"]
     lo, hi = str(tmp_path / "gen_lo"), str(tmp_path / "gen_hi")
-    single = ["simulate", *hwk, "--n", "2000", "--mu", "5.5", "--trials", "4", "--seed", "3"]
+    single = ["simulate", *hwk, "--n", "2000", "--mu", "5.5", "--trials", "4",
+              "--seed", "3"]
     bracket = ["simulate", *hwk, "--n", "400", "--mu", "5.2", "--mu", "5.8",
                "--trials", "3", "--seed", "2", "--tol", "0.2"]
     profile = ["core-profile", *hwk, "--n", "3000", "--mu", "6.0", "--trials", "3",

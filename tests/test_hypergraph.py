@@ -284,9 +284,7 @@ def test_verify_orientation_rejections(signs, fragment):
 def test_verify_orientation_rejects_repeated_sign():
     H = Hypergraph(2, [(0, 0, 1)])
     p = OrientationParams(3, 2, 2)
-    o = Orientation.__new__(Orientation)
-    object.__setattr__(o, "signs", ((0, 0),))
-    ok, why = verify_orientation(H, o, p)
+    ok, why = verify_orientation(H, Orientation([(0, 0)]), p)
     assert not ok and "repeated" in why
 
 
