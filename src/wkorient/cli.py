@@ -5,7 +5,8 @@ on the shared hypergraph format; experiment commands (``ode``, ``threshold``,
 ``simulate``, ``core-profile``, ``table1``) run the numeric machinery.
 Each command builds one report, which ``_emit`` writes as JSON or CSV
 (``orient`` and ``ode`` keep their own text forms).  Exit codes: 0 success
-(orientable), 2 decided non-orientable, 1 anything went wrong.
+(orientable), 2 decided non-orientable, 64 a command-line usage error
+(``EX_USAGE``), 1 anything else went wrong.
 
 Trials are reproducible from (master seed, trial index) alone: each one owns
 an RNG stream keyed by its index, and results are merged by index, so the
@@ -344,10 +345,6 @@ def _stats_dict(stats: CoreStats) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class SimulationReport:
-    params: OrientationParams
-    n: int
-    trials: int
-    seed: int
     probes: list  # (mu_bar, fraction_orientable, wald_half_width)
     records: list
     bracket: tuple
@@ -426,10 +423,6 @@ def simulate_threshold(
         else:
             hi = mid
     return SimulationReport(
-        params=p,
-        n=n,
-        trials=trials,
-        seed=seed,
         probes=probes,
         records=records,
         bracket=(lo, hi),
@@ -446,7 +439,6 @@ def simulate_threshold(
 
 @dataclasses.dataclass(frozen=True)
 class CoreProfileReport:
-    config: ExperimentConfig
     prediction: CoreStats
     records: list
     mean_alpha: float
@@ -543,7 +535,6 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
         chi2_stat, chi2_pvalue, chi2_dof = _truncated_poisson_chi2(counts, cfg.k)
 
     return CoreProfileReport(
-        config=cfg,
         prediction=prediction,
         records=records,
         mean_alpha=mean_alpha,
@@ -838,8 +829,17 @@ def _cmd_table1(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 64, since its own 2 would
+    read as "decided non-orientable".  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wkorient",
         description=(
             "Orientations and cores of random uniform hypergraphs: "

@@ -18,7 +18,8 @@ maximal set of minimum degree k+1, so removal order cannot change it):
   2014).  Production path, vectorised over numpy arrays.
 * randomized — one uniformly random light *ball* per step, matching the
   idealized random process the ODE models; this is the mode that can emit a
-  ProcessTrace.  It stays a scalar loop over Python lists.
+  ProcessTrace.  It is one fused scalar loop over local Python lists that
+  keeps the census on every step, traced or not.
 """
 
 from __future__ import annotations
@@ -231,186 +232,149 @@ def _peel_rounds(H: Hypergraph, p: OrientationParams) -> PeelResult:
     )
 
 
-class _RandomPeeler:
-    """State of the randomized one-ball-per-step peel.
+def _record(trace, t, HV, A, Bs, Ls):
+    """Append the census at step t to the trace; B and L are the class sums."""
+    trace.steps.append(t)
+    trace.B.append(sum(Bs))
+    trace.L.append(sum(Ls))
+    trace.HV.append(HV)
+    trace.A.append(A)
+    for s in trace.sizes:
+        trace.B_by_size[s].append(Bs[s])
+        trace.L_by_size[s].append(Ls[s])
 
-    Balls are numbered in edge order; the loop runs on flat Python lists
-    (scalar numpy indexing would be slower), set up from the arrays.  Trace
-    counters are maintained incrementally: B/L per size class move when an
-    edge shrinks, and a heavy vertex turning light migrates all its alive
-    balls into the light census at once.
+
+def _peel_random(
+    H: Hypergraph,
+    p: OrientationParams,
+    rng: np.random.Generator,
+    trace: Optional[ProcessTrace],
+) -> PeelResult:
+    """Randomized one-ball-per-step peel (see the module docstring).
+
+    Balls are numbered in edge order and the pool of light balls starts in
+    ball order, losing members by swap-remove; each step draws
+    idx = int(u * len(pool)) from a 4096-value buffer.  Those three choices
+    fix the whole run for a given rng.  All state lives in local lists
+    (scalar numpy indexing would be slower).  The census per size class
+    (alive balls Bs, light balls Ls) moves when an edge shrinks, and a heavy
+    vertex turning light moves all its alive balls into Ls and the pool at
+    once.  Degrees are kept for heavy vertices only.
     """
+    H.validate_sizes(p)
+    floor, k1, k2 = p.h - p.w, p.k + 1, p.k + 2
+    verts, row_of = H.verts, H.row_of
+    deg0 = np.bincount(verts, minlength=H.n)
+    light0 = deg0 <= p.k
+    ball_light = light0[verts]
+    Bs = np.bincount(H.sizes[row_of], minlength=p.h + 1).tolist()
+    Ls = np.bincount(H.sizes[row_of[ball_light]], minlength=p.h + 1).tolist()
+    HV = int(np.count_nonzero(~light0))
+    A = int(np.count_nonzero(deg0 == k1))
+    ball_vertex = verts.tolist()
+    ball_edge = row_of.tolist()
+    ptr = H.ptr.tolist()
+    by_vertex = _balls_by_vertex(verts).tolist()
+    vptr = np.concatenate(([0], np.cumsum(deg0))).tolist()
+    alive = [True] * len(verts)
+    esize = H.sizes.tolist()
+    deg = deg0.tolist()
+    light = light0.tolist()
+    edge_light = np.bincount(row_of[ball_light], minlength=H.num_edges).tolist()
+    pool = np.flatnonzero(ball_light).tolist()
+    pool_pos = np.zeros(len(verts), dtype=np.int64)  # read for pool members only
+    pool_pos[pool] = np.arange(len(pool))
+    pool_pos = pool_pos.tolist()
+    pool_pop, pool_append = pool.pop, pool.append
+    step_ball: list[int] = []  # one removed ball per step, each step one sign
+    log = step_ball.append
 
-    def __init__(self, H: Hypergraph, p: OrientationParams):
-        H.validate_sizes(p)
-        self.H = H
-        self.p = p
-        verts, sizes = H.verts, H.sizes
-        deg = np.bincount(verts, minlength=H.n)
-        light = deg <= p.k
-        ball_light = light[verts]
-        self.ball_vertex = verts.tolist()
-        self.ball_edge = H.row_of.tolist()
-        self.ptr = H.ptr.tolist()
-        self.by_vertex = _balls_by_vertex(verts).tolist()
-        self.vptr = np.concatenate(([0], np.cumsum(deg))).tolist()
-        D = len(verts)
-        self.ball_alive = [True] * D
-        self.esize = sizes.tolist()
-        self.deg = deg.tolist()
-        self.is_light = light.tolist()
-
-        # census counters
-        edge_light = np.bincount(H.row_of[ball_light], minlength=H.num_edges)
-        self.edge_light = edge_light.tolist()
-        self.B = D
-        self.B_by_size, self.L_by_size = {}, {}
-        for s in p.sizes:
-            self.B_by_size[s] = s * int(np.count_nonzero(sizes == s))
-            self.L_by_size[s] = int(edge_light[sizes == s].sum())
-        self.L = int(ball_light.sum())
-        self.HV = int(np.count_nonzero(~light))
-        self.A = int(np.count_nonzero(deg == p.k + 1))
-
-        # the removal log: one (vertex, edge) per step, each step one sign
-        self.step_vertex: list[int] = []
-        self.step_edge: list[int] = []
-
-        # light-ball pool with O(1) removal, filled in ball order
-        self.pool = np.flatnonzero(ball_light).tolist()
-        pool_pos = np.full(D, -1, dtype=np.int64)
-        pool_pos[self.pool] = np.arange(len(self.pool))
-        self.pool_pos = pool_pos.tolist()
-
-    # -- pool helpers ------------------------------------------------------
-
-    def pool_add(self, b: int) -> None:
-        self.pool_pos[b] = len(self.pool)
-        self.pool.append(b)
-
-    def pool_discard(self, b: int) -> None:
-        i = self.pool_pos[b]
-        if i < 0:
-            return
-        last = self.pool[-1]
-        self.pool[i] = last
-        self.pool_pos[last] = i
-        self.pool.pop()
-        self.pool_pos[b] = -1
-
-    # -- state transitions -------------------------------------------------
-
-    def kill_ball(self, b: int, cls: int) -> None:
-        """Remove one alive ball accounted in size class cls; no degree or
-        edge-size side effects (callers handle those)."""
-        v = self.ball_vertex[b]
-        self.ball_alive[b] = False
-        self.B -= 1
-        self.B_by_size[cls] -= 1
-        if self.is_light[v]:
-            self.L -= 1
-            self.L_by_size[cls] -= 1
-            self.edge_light[self.ball_edge[b]] -= 1
-            self.pool_discard(b)
-
-    def shift_class(self, ei: int, old: int, new: int) -> None:
-        """Move edge ei's remaining alive balls from size class old to new."""
-        cnt = self.esize[ei]
-        self.B_by_size[old] -= cnt
-        self.B_by_size[new] += cnt
-        nl = self.edge_light[ei]
-        self.L_by_size[old] -= nl
-        self.L_by_size[new] += nl
-
-    def drop_degree(self, v: int) -> None:
-        """Decrement deg[v] after an unsigned ball loss; handle the
-        heavy-to-light migration."""
-        old = self.deg[v]
-        self.deg[v] = old - 1
-        if self.is_light[v]:
-            return
-        k = self.p.k
-        if old == k + 2:
-            self.A += 1
-        elif old == k + 1:
-            self.A -= 1
-            self.HV -= 1
-            self.is_light[v] = True
-            for b in self.by_vertex[self.vptr[v] : self.vptr[v + 1]]:
-                if self.ball_alive[b]:
-                    ei = self.ball_edge[b]
-                    cls = self.esize[ei]
-                    self.L += 1
-                    self.L_by_size[cls] += 1
-                    self.edge_light[ei] += 1
-                    self.pool_add(b)
-
-    def remove_edge(self, ei: int, cls: int) -> None:
-        """Delete edge ei whose remaining alive balls sit in class cls; the
-        freed balls are unsigned and their bins lose degree."""
-        freed = [b for b in range(self.ptr[ei], self.ptr[ei + 1]) if self.ball_alive[b]]
-        for b in freed:
-            self.kill_ball(b, cls)
-        self.esize[ei] = 0
-        for b in freed:
-            self.drop_degree(self.ball_vertex[b])
-
-    # -- the peeling loop ----------------------------------------------------
-
-    def run(self, rng: np.random.Generator, trace: Optional[ProcessTrace]) -> None:
-        floor = self.p.h - self.p.w
-        t = 0
-        if trace is not None:
-            self.record(trace, t)
-        buf = np.empty(0)
-        used = 0
-        while self.pool:
-            if used >= len(buf):
-                buf = rng.random(4096)
-                used = 0
-            idx = int(buf[used] * len(self.pool))
-            used += 1
-            if idx == len(self.pool):  # guard the u == 1.0 edge
+    t = 0
+    mark = -1  # the next step to record
+    if trace is not None:
+        _record(trace, 0, HV, A, Bs, Ls)
+        mark = trace.stride
+    while pool:
+        for u in rng.random(4096).tolist():
+            size = len(pool)
+            idx = int(u * size)
+            if idx == size:  # guard the u == 1.0 edge
                 idx -= 1
-            b = self.pool[idx]
-            v = self.ball_vertex[b]
-            ei = self.ball_edge[b]
-            s = self.esize[ei]
-            self.step_vertex.append(v)
-            self.step_edge.append(ei)
-            self.kill_ball(b, s)
-            self.deg[v] -= 1
-            self.esize[ei] = s - 1
+            b = pool[idx]
+            log(b)
+            alive[b] = False
+            last = pool_pop()
+            if last != b:
+                pool[idx] = last
+                pool_pos[last] = pool_pos[b]
+            ei = ball_edge[b]
+            s = esize[ei]
+            nl = edge_light[ei] - 1
+            edge_light[ei] = nl
             if s - 1 > floor:
-                self.shift_class(ei, s, s - 1)
+                # the edge shrinks: its other balls move from class s to s-1
+                esize[ei] = s - 1
+                Bs[s] -= s
+                Bs[s - 1] += s - 1
+                Ls[s] -= nl + 1
+                Ls[s - 1] += nl
             else:
-                self.remove_edge(ei, s)
+                # the edge dies: its other balls go unsigned, their bins
+                # lose degree
+                esize[ei] = 0
+                freed = [c for c in range(ptr[ei], ptr[ei + 1]) if alive[c]]
+                Bs[s] -= 1 + len(freed)
+                Ls[s] -= 1
+                for c in freed:
+                    alive[c] = False
+                    if light[ball_vertex[c]]:
+                        Ls[s] -= 1
+                        i = pool_pos[c]
+                        last = pool_pop()
+                        if last != c:
+                            pool[i] = last
+                            pool_pos[last] = i
+                for c in freed:
+                    v = ball_vertex[c]
+                    if light[v]:
+                        continue
+                    d = deg[v]
+                    deg[v] = d - 1
+                    if d == k2:
+                        A += 1
+                    elif d == k1:
+                        # heavy to light: its alive balls join Ls and the pool
+                        A -= 1
+                        HV -= 1
+                        light[v] = True
+                        for c2 in by_vertex[vptr[v] : vptr[v + 1]]:
+                            if alive[c2]:
+                                e2 = ball_edge[c2]
+                                Ls[esize[e2]] += 1
+                                edge_light[e2] += 1
+                                pool_pos[c2] = len(pool)
+                                pool_append(c2)
             t += 1
-            if trace is not None and (t % trace.stride == 0 or not self.pool):
-                self.record(trace, t)
+            if t == mark:
+                _record(trace, t, HV, A, Bs, Ls)
+                mark += trace.stride
+            if not pool:
+                break
+    if trace is not None and t % trace.stride:
+        _record(trace, t, HV, A, Bs, Ls)
 
-    def record(self, trace: ProcessTrace, t: int) -> None:
-        trace.steps.append(t)
-        trace.B.append(self.B)
-        trace.L.append(self.L)
-        trace.HV.append(self.HV)
-        trace.A.append(self.A)
-        for s in trace.sizes:
-            trace.B_by_size[s].append(self.B_by_size[s])
-            trace.L_by_size[s].append(self.L_by_size[s])
-
-    def result(self, trace: Optional[ProcessTrace]) -> PeelResult:
-        steps = len(self.step_vertex)
-        return _harvest(
-            self.H,
-            ~np.asarray(self.is_light, dtype=bool),
-            np.asarray(self.ball_alive, dtype=bool),
-            np.asarray(self.esize, dtype=np.int64),
-            np.asarray(self.step_vertex, dtype=np.int64),
-            np.arange(steps),
-            np.asarray(self.step_edge, dtype=np.int64),
-            trace,
-        )
+    steps = np.asarray(step_ball, dtype=np.int64)
+    del step_ball, log  # free the log before the harvest sets peak memory
+    return _harvest(
+        H,
+        ~np.asarray(light, dtype=bool),
+        np.asarray(alive, dtype=bool),
+        np.asarray(esize, dtype=np.int64),
+        verts[steps],
+        np.arange(len(steps)),
+        row_of[steps],
+        trace,
+    )
 
 
 def rancore(
@@ -434,7 +398,6 @@ def rancore(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("randomized mode needs an rng")
-    state = _RandomPeeler(H, p)
     tr = None
     if trace:
         stride = max(1, -(-H.n // 1000))
@@ -450,8 +413,7 @@ def rancore(
             B_by_size={s: [] for s in p.sizes},
             L_by_size={s: [] for s in p.sizes},
         )
-    state.run(rng, tr)
-    return state.result(tr)
+    return _peel_random(H, p, rng, tr)
 
 
 def extend_orientation(

@@ -50,10 +50,13 @@ def test_gen_mu_sets_edge_count(tmp_path):
 
 
 def test_gen_requires_a_size():
-    with pytest.raises(SystemExit):
+    # usage errors exit 64, apart from 2 (decided non-orientable)
+    with pytest.raises(SystemExit) as exc:
         main(["gen", "--h", "3", "--n", "30"])
-    with pytest.raises(SystemExit):  # one size, not two
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:  # one size, not two
         main(["gen", "--h", "3", "--n", "30", "--m", "5", "--mu", "9"])
+    assert exc.value.code == 64
 
 
 def test_orient_exit_codes(tmp_path, capsys):
@@ -240,9 +243,14 @@ def test_simulate_rejects_a_third_mu():
 
 
 def test_core_profile_requires_one_mu(capsys):
-    with pytest.raises(SystemExit):
+    # a message as the exit code: the interpreter prints it and exits 1
+    with pytest.raises(SystemExit) as exc:
         main(["core-profile", "--h", "3", "--w", "2", "--k", "4",
               "--mu", "5.0", "--mu", "6.0"])
+    assert exc.value.code == "core-profile: need exactly one --mu"
+    with pytest.raises(SystemExit) as exc:  # --mu is required
+        main(["core-profile", "--h", "3", "--w", "2", "--k", "4"])
+    assert exc.value.code == 64
 
 
 def test_core_profile_csv_rows(capsys):

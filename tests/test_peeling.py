@@ -18,7 +18,7 @@ from wkorient.hypergraph import (
     verify_orientation,
     w_density,
 )
-from wkorient.models import RngSeed
+from wkorient.models import RngSeed, sample_uniform_multi
 from wkorient.peeling import (
     ExtensionConflictError,
     core_statistics,
@@ -240,6 +240,57 @@ def test_trace_census_identities():
     for s in tr.sizes:
         heavy = np.asarray(tr.B_by_size[s]) - np.asarray(tr.L_by_size[s])
         assert (heavy >= 0).all()
+
+
+SEEDED = [((3, 2, 4), 5.6, 1), ((4, 2, 3), 6.5, 2)]
+
+
+def _seeded_instance(hwk, mu, seed, n=2000):
+    p = OrientationParams(*hwk)
+    H = sample_uniform_multi(n, round(mu * n / p.h), p.h, RngSeed(seed).generator())
+    return H, p
+
+
+def _assert_final_census_is_the_core(H, p, seed):
+    # the pool is empty at the last record, so what the census still counts
+    # is exactly the core: recount it from the core's arrays
+    pr = rancore(H, p, mode="randomized", rng=RngSeed(seed).generator(), trace=True)
+    tr, core = pr.trace, pr.core
+    deg = np.bincount(core.verts, minlength=core.n)
+    edges_of_size = np.bincount(core.sizes, minlength=p.h + 1)
+    assert tr.L[-1] == 0
+    assert tr.B[-1] == core.total_degree
+    assert tr.HV[-1] == core.n
+    assert tr.A[-1] == np.count_nonzero(deg == p.k + 1)
+    for s in tr.sizes:
+        assert tr.B_by_size[s][-1] == s * edges_of_size[s]
+
+
+@pytest.mark.parametrize("hwk,mu,seed", SEEDED)
+def test_final_census_matches_core(hwk, mu, seed):
+    H, p = _seeded_instance(hwk, mu, seed)
+    _assert_final_census_is_the_core(H, p, seed)
+
+
+@given(peel_instances())
+@settings(max_examples=100)
+def test_final_census_matches_core_on_small_instances(inst):
+    H, p = inst
+    _assert_final_census_is_the_core(H, p, 0)
+
+
+@pytest.mark.parametrize("hwk,mu,seed", SEEDED)
+def test_trace_leaves_the_rng_path_alone(hwk, mu, seed):
+    H, p = _seeded_instance(hwk, mu, seed)
+    plain, traced = (
+        rancore(H, p, mode="randomized", rng=RngSeed(seed, 1).generator(), trace=t)
+        for t in (False, True)
+    )
+    assert plain.trace is None
+    assert plain.elimination == traced.elimination
+    assert plain.peel_signs == traced.peel_signs
+    assert plain.edge_fate == traced.edge_fate
+    assert plain.core == traced.core
 
 
 def test_trace_csv_layout():
