@@ -1,5 +1,6 @@
 """The peeling-process differential equations and the density threshold."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -285,6 +286,43 @@ def test_trajectory_vs_trace_is_pinned():
         "z_H_2": "0.043450865243610776",
         "z_A": "0.06826636712176619",
     }
+
+
+@pytest.mark.parametrize(
+    "hwk, mu_bar, digest, stats",
+    [
+        (
+            (4, 3, 2),
+            5.0,
+            "d20f1028e9c5e39326fd0448ec7f9d5bb911c03df42a715364c4707d1d03c1c7",
+            "CoreStats(x_star=0.20219077175744968, alpha=0.8753201291699148, "
+            "beta={4: 1.0597433185136547, 3: 0.17864321067354202, "
+            "2: 0.011292851354507126}, kappa=4.053156222520577, "
+            "mu_hat=5.480838894147016, terminated_by='z_L')",
+        ),
+        (
+            (6, 4, 3),
+            9.0,
+            "4e9c987fb5cbbcfdc6ae82a5b9086481ce5cd951fd02a4d3634a357ce9758c6f",
+            "CoreStats(x_star=0.056089758911590584, alpha=0.9787735126842722, "
+            "beta={6: 1.4447769189112112, 5: 0.05436359735284566, "
+            "4: 0.0008523232544856703, 3: 7.126876223496206e-06}, "
+            "kappa=6.0728147667048, mu_hat=9.13787516516417, terminated_by='z_L')",
+        ),
+    ],
+)
+def test_trajectory_beyond_two_signs_is_pinned(hwk, mu_bar, digest, stats):
+    # w >= 3 leaves more than one bucket beside size h, so the order in
+    # which the bucket columns are summed shows up in the bits: sha256 of
+    # x, the state matrix and every named column, and the core's repr
+    traj, got = integrate(OdeParams(OrientationParams(*hwk), mu_bar))
+    h = hashlib.sha256(traj.x.tobytes())
+    h.update(traj.y.tobytes())
+    for name, col in sorted(traj.columns().items()):
+        h.update(name.encode())
+        h.update(col.tobytes())
+    assert h.hexdigest() == digest
+    assert repr(got) == stats
 
 
 @pytest.mark.slow
