@@ -6,6 +6,7 @@ Defaults to the four built-in reference rows; pass --triple to study others.
 
 import argparse
 import csv
+import math
 import sys
 import time
 
@@ -33,8 +34,8 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=1e-4, help="bisection width")
     ap.add_argument("--out", default=None, help="also write CSV here")
     args = ap.parse_args(argv)
-    if not args.tol > 0:
-        ap.error("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        ap.error(f"--tol must be positive and finite, got {args.tol}")
 
     triples = args.triple or [(h, w, k) for h, w, k, _, _ in TABLE1_REFERENCE]
     rows = []

@@ -102,8 +102,8 @@ class ExperimentConfig:
         OrientationParams(self.h, self.w, self.k)  # reuse its validation
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.mu_bar <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu_bar < math.inf:
+            raise DomainError(f"mu must be positive and finite, got {self.mu_bar}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
 
@@ -242,21 +242,7 @@ def _csv_text(columns: Sequence[str], rows: Sequence[dict]) -> str:
 def _json_text(command: str, payload: dict) -> str:
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
-    return json.dumps(doc, indent=2, default=_json_default) + "\n"
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if dataclasses.is_dataclass(value):
-        return dataclasses.asdict(value)
-    raise TypeError(f"not JSON-serializable: {type(value)}")
+    return json.dumps(doc, indent=2) + "\n"
 
 
 @contextlib.contextmanager
@@ -370,10 +356,13 @@ def simulate_threshold(
     Each probe runs ``trials`` sampled instances (peel, then flow on the
     core).  Without an explicit bracket, one is seeded from the numeric
     threshold prediction and widened until the endpoint fractions straddle
-    one half.  Bisection stops at width <= tol; the estimate is the final
-    midpoint with half the bracket as its half-width (probe-level binomial
-    noise is reported per probe, not folded in).
+    one half.  Bisection stops at width <= tol, which must be positive and
+    finite; the estimate is the final midpoint with half the bracket as its
+    half-width (probe-level binomial noise is reported per probe, not
+    folded in).
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     records: list[TrialRecord] = []
     probes: list[tuple[float, float, float]] = []
     probe_index = 0
@@ -397,8 +386,8 @@ def simulate_threshold(
         lo, hi = ode_threshold - 2 * tol, ode_threshold + 2 * tol
     else:
         lo, hi = bracket
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
 
     f_lo = fraction_at(lo)
     for _ in range(4):
@@ -595,6 +584,8 @@ def table1_rows(tol: float = 1e-4) -> list[dict]:
 
 
 def _cmd_gen(args) -> int:
+    if args.m is None and not 0 <= args.mu < math.inf:
+        raise DomainError(f"mu must be nonnegative and finite, got {args.mu}")
     m = args.m if args.m is not None else round(args.mu * args.n / args.h)
     rng = RngSeed(args.seed).generator()
     H = sample_uniform_multi(args.n, m, args.h, rng)

@@ -16,7 +16,9 @@ with simulated traces.  State vector (w-1 bucket pairs plus three scalars):
 
 where zL_s / zH_s are light/heavy balls (per initial vertex) in residual
 edges of size s.  The size-h buckets are algebraic: zL_h = z_L - sum of the
-others, zH_h likewise from z_B - z_L.  The rate lambda of the heavy-degree
+others, zH_h likewise from z_B - z_L.  `_split` is the one reader of this
+layout: the right-hand side, the events, the named columns and the core
+read at the ending all go through it.  The rate lambda of the heavy-degree
 law is recovered algebraically from mu = (z_B - z_L)/z_HV at every
 evaluation.
 
@@ -85,6 +87,9 @@ class FixedPointError(RuntimeError):
 # thousand at core emergence, where convergence is slowest).
 MAX_FIXED_POINT_ITERATIONS = 10**6
 
+# Points on the grid a trajectory is sampled at, from 0 to its ending.
+SAMPLE_POINTS = 512
+
 # Predicted vertex fractions below this are read as the empty core: as
 # q -> 0 alpha underflows towards 1e-169 while the demand ratio kappa blows
 # up towards 1e100.
@@ -99,15 +104,12 @@ class OdeParams:
     mu_bar: float
     rtol: float = 1e-12
     atol: float = 1e-14
-    samples: int = 512
 
     def __post_init__(self):
-        if self.mu_bar <= 0:
-            raise ValueError(f"mu_bar must be positive, got {self.mu_bar}")
+        if not 0 < self.mu_bar < math.inf:
+            raise DomainError(f"mu_bar must be positive and finite, got {self.mu_bar}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.samples < 2:
-            raise ValueError("need at least two sample points")
 
 
 def f_star(a: float, b: float, z_l: float) -> float:
@@ -140,38 +142,27 @@ def _ratio(num: float, den: float) -> float:
     return r if r < 1.0 else 1.0
 
 
+def _split(p: OrientationParams, y):
+    """Read a state in the layout above: a state vector (float list or
+    1-d array) or a matrix with one row per entry and one column per point.
+    Returns z_L, z_B, z_HV and the light and heavy ball lists per size,
+    for sizes h, h-1, .., h-w+1 (index i = size h-i), the size-h entries
+    solved from the others.  Entries past the layout are ignored."""
+    nb = p.w - 1
+    zL, zB, zHV = y[2 * nb], y[2 * nb + 1], y[2 * nb + 2]
+    light, heavy = y[:nb], y[nb : 2 * nb]
+    ZL = [zL - sum(light), *light]
+    ZH = [zB - zL - sum(heavy), *heavy]
+    return zL, zB, zHV, ZL, ZH
+
+
 class _System:
     """RHS and events for one parameter set; keeps a warm-started lambda."""
 
     def __init__(self, params: OdeParams):
         self.params = params
         self.p = params.p
-        self.nb = self.p.w - 1
-        self.dim = 2 * self.nb + 3
         self._warm_lambda: Optional[float] = None
-
-    # layout helpers
-    @property
-    def i_zL(self) -> int:
-        return 2 * self.nb
-
-    @property
-    def i_zB(self) -> int:
-        return 2 * self.nb + 1
-
-    @property
-    def i_zHV(self) -> int:
-        return 2 * self.nb + 2
-
-    def buckets(self, y) -> tuple[list[float], list[float]]:
-        """Full per-size light/heavy ball lists for sizes h, h-1, ..,
-        h-w+1 (index i = size h-i), with the algebraic size-h entries."""
-        nb = self.nb
-        zL = float(y[self.i_zL])
-        heavy = float(y[self.i_zB]) - zL
-        ZL = [zL - float(sum(y[:nb]))] + [float(v) for v in y[:nb]]
-        ZH = [heavy - float(sum(y[nb : 2 * nb]))] + [float(v) for v in y[nb : 2 * nb]]
-        return ZL, ZH
 
     def solve_rate(self, mu: float) -> float:
         k = self.p.k
@@ -183,12 +174,9 @@ class _System:
     def rhs(self, x: float, y: np.ndarray) -> np.ndarray:
         p = self.p
         h, w, k = p.h, p.w, p.k
-        nb = self.nb
-        zL = float(y[self.i_zL])
-        zB = float(y[self.i_zB])
-        zHV = float(y[self.i_zHV])
+        nb = w - 1
+        zL, zB, zHV, ZL, ZH = _split(p, y.tolist())
         heavy = zB - zL
-        ZL, ZH = self.buckets(y)
         ZB = [l + hh for l, hh in zip(ZL, ZH)]
 
         # rate of heavy->light migrations: an edge dies (its light ball was
@@ -203,7 +191,7 @@ class _System:
         pick_last = _ratio(ZL[-1], zL)
         G = pick_last * (h - w) * _ratio(ZH[-1], ZB[-1]) * hit_small
 
-        dy = np.empty(self.dim)
+        dy = np.empty(2 * nb + 3)
         for j in range(1, w):  # residual size s = h - j
             s = h - j
             pick = _ratio(ZL[j], zL)
@@ -218,26 +206,30 @@ class _System:
                 - G * k * _ratio(ZH[j], heavy)
                 + _ratio(ZL[j - 1], zL) * s * _ratio(ZH[j - 1], ZB[j - 1])
             )
-        dy[self.i_zL] = -1.0 - (h - w) * f_star(ZL[-1], ZB[-1], zL) + k * G
-        dy[self.i_zB] = -1.0 - (h - w) * pick_last
-        dy[self.i_zHV] = -G
+        dy[2 * nb :] = (
+            -1.0 - (h - w) * f_star(ZL[-1], ZB[-1], zL) + k * G,  # z_L
+            -1.0 - (h - w) * pick_last,  # z_B
+            -G,  # z_HV
+        )
         return dy
 
     def events(self) -> list[Callable]:
-        k = self.p.k
+        p = self.p
 
         def ev_zl(x, y):
-            return y[self.i_zL]
+            return _split(p, y)[0]
 
         def ev_heavy(x, y):
-            return y[self.i_zB] - y[self.i_zL]
+            zL, zB, *_ = _split(p, y)
+            return zB - zL
 
         def ev_hv(x, y):
-            return y[self.i_zHV]
+            return _split(p, y)[2]
 
         def ev_mu(x, y):
             # linear form of mu > k+2, safe when z_HV crosses zero
-            return (y[self.i_zB] - y[self.i_zL]) - (k + 2) * y[self.i_zHV]
+            zL, zB, zHV, *_ = _split(p, y)
+            return (zB - zL) - (p.k + 2) * zHV
 
         evs = [ev_zl, ev_heavy, ev_hv, ev_mu]
         for ev in evs:
@@ -292,17 +284,14 @@ def _core_stats(
 
 
 def _read_states(p: OrientationParams, y: np.ndarray) -> dict[str, np.ndarray]:
-    """Named columns of a state matrix (rows per the _System layout, one
-    column per point): z_L, z_B, z_HV, z_L_s and z_H_s for every size s,
-    the heavy mean degree mu, its rate lambda and z_A.  Where mu <= k+1
-    no rate exists: mu and lambda are nan there and z_A is 0.  lambda is
-    solved point by point, each warm-started from the last one solved."""
-    nb = p.w - 1
-    zL, zB, zHV = y[2 * nb : 2 * nb + 3]
+    """Named columns of a state matrix (one column per point): z_L, z_B,
+    z_HV, z_L_s and z_H_s for every size s, the heavy mean degree mu, its
+    rate lambda and z_A.  Where mu <= k+1 no rate exists: mu and lambda are
+    nan there and z_A is 0.  lambda is solved point by point, each
+    warm-started from the last one solved."""
+    zL, zB, zHV, light_by_size, heavy_by_size = _split(p, y)
     heavy = zB - zL
     cols = {"z_L": zL, "z_B": zB, "z_HV": zHV}
-    light_by_size = [zL - y[:nb].sum(axis=0), *y[:nb]]
-    heavy_by_size = [heavy - y[nb : 2 * nb].sum(axis=0), *y[nb : 2 * nb]]
     for s, col_l, col_h in zip(p.sizes, light_by_size, heavy_by_size):
         cols[f"z_L_{s}"] = col_l
         cols[f"z_H_{s}"] = col_h
@@ -324,19 +313,18 @@ def _read_states(p: OrientationParams, y: np.ndarray) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The solved process on a sample grid x: the state matrix y (rows per
-    the _System layout, one column per point), its named columns from
-    `_read_states`, and the dense solution over [0, x_end] (None for the
-    single-point trajectory)."""
+    """The solved process on a sample grid x: the state matrix y (one
+    column per point) and the dense solution over [0, x_end] (None for the
+    single-point trajectory).  The named columns are computed from y on
+    demand, each call solving lambda anew at every point."""
 
     params: OdeParams
     x: np.ndarray
     y: np.ndarray
-    states: dict
     dense: object
 
     def columns(self) -> dict[str, np.ndarray]:
-        return {"x": self.x, **self.states}
+        return {"x": self.x, **_read_states(self.params.p, self.y)}
 
     def to_csv(self, fh) -> None:
         cols = self.columns()
@@ -359,15 +347,14 @@ def _initial_vector(params: OdeParams) -> np.ndarray:
 
 
 def _stats_from_state(
-    params: OdeParams, x_star: float, y: np.ndarray, terminated_by: str
+    p: OrientationParams, x_star: float, y: np.ndarray, terminated_by: str
 ) -> CoreStats:
-    p = params.p
+    """The core read off the ending state y; empty unless it is z_L's."""
     if terminated_by != "z_L":
         return _core_stats(p, x_star, terminated_by)
-    sys = _System(params)
-    _, ZH = sys.buckets(y)
+    _, _, zHV, _, ZH = _split(p, y.tolist())
     beta = {s: max(zh, 0.0) / s for s, zh in zip(p.sizes, ZH)}
-    return _core_stats(p, x_star, terminated_by, float(y[sys.i_zHV]), beta)
+    return _core_stats(p, x_star, terminated_by, zHV, beta)
 
 
 def _solve(sys: _System, y0: np.ndarray):
@@ -383,7 +370,7 @@ def _solve(sys: _System, y0: np.ndarray):
         dense_output=True,
         rtol=params.rtol,
         atol=params.atol,
-        first_step=min(y0[sys.i_zL] / 10.0, params.mu_bar / 2),
+        first_step=min(_split(sys.p, y0)[0] / 10.0, params.mu_bar / 2),
     )
     if sol.status == -1:
         raise StiffnessError(f"integrator failed: {sol.message}; last x={sol.t[-1]}")
@@ -412,7 +399,7 @@ def integrate(params: OdeParams) -> tuple[Trajectory, CoreStats]:
     """
     p = params.p
     y0 = _initial_vector(params)
-    z_l0, z_b0, z_hv0 = y0[-3:]
+    z_l0, z_b0, z_hv0, _, _ = _split(p, y0)
     heavy0 = z_b0 - z_l0
     if z_hv0 <= 0.0:
         raise InitialStateError(f"no heavy vertices at mu_bar={params.mu_bar}")
@@ -424,16 +411,13 @@ def integrate(params: OdeParams) -> tuple[Trajectory, CoreStats]:
     if z_l0 <= 0.0:
         # mu_bar so large that no vertex starts light (the complement tail
         # underflows): the whole graph is its own core
-        stats = _stats_from_state(params, 0.0, y0, "z_L")
-        ymat = y0.reshape(-1, 1)
-        traj = Trajectory(params, np.zeros(1), ymat, _read_states(p, ymat), dense=None)
-        return traj, stats
+        traj = Trajectory(params, np.zeros(1), y0.reshape(-1, 1), dense=None)
+        return traj, _stats_from_state(p, 0.0, y0, "z_L")
 
     sol, x_star, y_star, terminated_by = _solve(_System(params), y0)
-    xgrid = np.linspace(0.0, x_star, params.samples)
-    ymat = sol.sol(xgrid)
-    traj = Trajectory(params, xgrid, ymat, _read_states(p, ymat), dense=sol.sol)
-    return traj, _stats_from_state(params, x_star, y_star, terminated_by)
+    xgrid = np.linspace(0.0, x_star, SAMPLE_POINTS)
+    traj = Trajectory(params, xgrid, sol.sol(xgrid), dense=sol.sol)
+    return traj, _stats_from_state(p, x_star, y_star, terminated_by)
 
 
 def core_fixed_point(
@@ -496,8 +480,6 @@ class ThresholdResult:
     kappa_lo: float
     kappa_hi: float
     iterations: int
-    stats_lo: Optional[CoreStats]
-    stats_hi: Optional[CoreStats]
     stats_at_threshold: Optional[CoreStats]
 
     @property
@@ -518,53 +500,49 @@ def find_threshold(
     is the hard counting bound above which density must exceed k, but both
     ends are expanded a few times if the sign change isn't there yet.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    def kappa_of(mu_bar: float) -> tuple[float, CoreStats]:
-        stats = core_fixed_point(p, mu_bar, rtol=rtol, atol=atol)
-        return stats.kappa, stats
+    def kappa_of(mu_bar: float) -> float:
+        return core_fixed_point(p, mu_bar, rtol=rtol, atol=atol).kappa
 
     lo = float(p.k)
     hi = p.h * p.k / p.w
-    kappa_lo, stats_lo = kappa_of(lo)
+    kappa_lo = kappa_of(lo)
     tries = 0
     while kappa_lo > p.k:
         lo *= 0.8
-        kappa_lo, stats_lo = kappa_of(lo)
+        kappa_lo = kappa_of(lo)
         tries += 1
         if tries > 8:
             raise BracketError(f"no lower bracket below mu_bar={lo}")
-    kappa_hi, stats_hi = kappa_of(hi)
+    kappa_hi = kappa_of(hi)
     tries = 0
     while kappa_hi <= p.k:
         hi += max(0.5, 0.1 * hi)
-        kappa_hi, stats_hi = kappa_of(hi)
+        kappa_hi = kappa_of(hi)
         tries += 1
         if tries > 8:
             raise BracketError(f"no upper bracket up to mu_bar={hi}")
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        kappa_mid, stats_mid = kappa_of(mid)
+        kappa_mid = kappa_of(mid)
         if kappa_mid <= p.k:
-            lo, kappa_lo, stats_lo = mid, kappa_mid, stats_mid
+            lo, kappa_lo = mid, kappa_mid
         else:
-            hi, kappa_hi, stats_hi = mid, kappa_mid, stats_mid
+            hi, kappa_hi = mid, kappa_mid
         iterations += 1
-        if iterations > 200:  # pragma: no cover - tol>0 guarantees exit
+        if iterations > 200:  # pragma: no cover - a finite tol > 0 guarantees exit
             raise BracketError("bisection failed to converge")
     mu_tilde = 0.5 * (lo + hi)
-    _, stats_mid = kappa_of(mu_tilde)
     return ThresholdResult(
         mu_tilde=mu_tilde,
         bracket=(lo, hi),
         kappa_lo=kappa_lo,
         kappa_hi=kappa_hi,
         iterations=iterations,
-        stats_lo=stats_lo,
-        stats_hi=stats_hi,
-        stats_at_threshold=stats_mid,
+        stats_at_threshold=core_fixed_point(p, mu_tilde, rtol=rtol, atol=atol),
     )
 
 

@@ -68,15 +68,15 @@ def _log_pmf(j: int, mu: float) -> float:
     return j * math.log(mu) - mu - math.lgamma(j + 1)
 
 
-def _tail_series(k: int, mu: float, derivative: bool = False):
-    """T_k(mu) = sum_{j>=0} mu^j k!/(k+j)!  (= f_k(mu) * e^mu * k! / mu^k).
+def _tail_series(k: int, mu: float) -> tuple[float, float]:
+    """T_k(mu) = sum_{j>=0} mu^j k!/(k+j)!  (= f_k(mu) * e^mu * k! / mu^k)
+    and its derivative T_k'(mu).
 
     All terms positive; converges for every mu (terms decay once j > mu-k).
-    Optionally also returns T_k'(mu).  Intended for mu <= ~600 where no term
-    can overflow.
+    Intended for mu <= ~600 where no term can overflow.
     """
     if mu == 0.0:
-        return (1.0, 1.0 / (k + 1)) if derivative else 1.0
+        return 1.0, 1.0 / (k + 1)
     term = 1.0
     total = 1.0
     dtotal = 0.0  # sum of j * mu^(j-1) k!/(k+j)!
@@ -85,15 +85,12 @@ def _tail_series(k: int, mu: float, derivative: bool = False):
         j += 1
         term *= mu / (k + j)
         total += term
-        if derivative:
-            dtotal += j * term / mu
+        dtotal += j * term / mu
         if term < 1e-18 * total and j > mu - k:
             break
         if j > 100000:  # pragma: no cover - defensive
             raise RuntimeError("tail series failed to converge")
-    if derivative:
-        return total, dtotal
-    return total
+    return total, dtotal
 
 
 def log_poisson_tail(k: int, mu: float) -> float:
@@ -105,7 +102,7 @@ def log_poisson_tail(k: int, mu: float) -> float:
     t = poisson_tail(k, mu)
     if t > _TAIL_FLOOR:
         return math.log(t)
-    return _log_pmf(k, mu) + math.log(_tail_series(k, mu))
+    return _log_pmf(k, mu) + math.log(_tail_series(k, mu)[0])
 
 
 def truncated_mean_from_rate(lam: float, k: int) -> float:
@@ -119,17 +116,20 @@ def truncated_mean_from_rate(lam: float, k: int) -> float:
         return lam
     if lam == 0.0:
         return float(k)
+    return _mean_and_slope(lam, k)[0]
+
+
+def _mean_and_slope(lam: float, k: int) -> tuple[float, float]:
+    """Mean of Poisson(lam) conditioned on being >= k, for lam > 0 and
+    k >= 1, and its derivative in lam."""
     if lam > 600.0:
         # T_k would overflow; fall back to the pmf/tail ratio, which is
-        # perfectly conditioned out here
-        return _large_rate_mean(lam, k)
-    return lam + k / _tail_series(k, lam)
-
-
-def _large_rate_mean(lam: float, k: int) -> float:
-    # mean = lam * f_{k-1}/f_k = lam * (1 + pmf(k-1)/f_k)
-    ratio = math.exp(_log_pmf(k - 1, lam) - log_poisson_tail(k, lam))
-    return lam * (1.0 + ratio)
+        # perfectly conditioned out here:
+        # mean = lam * f_{k-1}/f_k = lam * (1 + pmf(k-1)/f_k), slope ~1
+        ratio = math.exp(_log_pmf(k - 1, lam) - log_poisson_tail(k, lam))
+        return lam * (1.0 + ratio), 1.0
+    t, dt = _tail_series(k, lam)
+    return lam + k / t, 1.0 - k * dt / (t * t)
 
 
 def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:
@@ -149,19 +149,10 @@ def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:
             f"no truncated-Poisson rate has mean {mu} with support >= {k + 1}"
         )
     kk = k + 1  # truncation point of the conditioned variable
-
-    def mean_and_slope(y: float):
-        if y > 600.0:
-            m = _large_rate_mean(y, kk)
-            # slope of lam*f_{k}/f_{k+1}; ~1 out here, Newton barely needs it
-            return m, 1.0
-        t, dt = _tail_series(kk, y, derivative=True)
-        return y + kk / t, 1.0 - kk * dt / (t * t)
-
     lo, hi = 0.0, mu  # mean(mu) = mu + kk/T > mu, mean(0+) = kk < mu
     y = x0 if x0 is not None and lo < x0 < hi else mu - 1.0 / (1.0 + 1.0 / (mu - kk))
     for _ in range(100):
-        m, dm = mean_and_slope(y)
+        m, dm = _mean_and_slope(y, kk)
         if m > mu:
             hi = y
         else:

@@ -15,10 +15,12 @@ import math
 import numpy as np
 
 from wkorient.ode import (
+    SAMPLE_POINTS,
     CoreStats,
     OdeParams,
     _initial_vector,
     _solve,
+    _split,
     _stats_from_state,
     _System,
 )
@@ -43,14 +45,13 @@ class LambdaStateSystem(_System):
 
     def _lambda_prime(self, y: np.ndarray, dy: np.ndarray) -> float:
         k, lam = self.p.k, self._lam
-        zL, zB, zHV = float(y[self.i_zL]), float(y[self.i_zB]), float(y[self.i_zHV])
+        zL, zB, zHV, _, _ = _split(self.p, y.tolist())
         if zHV <= 0.0 or lam <= 0.0:
             return 0.0
         heavy = zB - zL
         mu = heavy / zHV
-        mu_prime = (
-            (dy[self.i_zB] - dy[self.i_zL]) * zHV - heavy * dy[self.i_zHV]
-        ) / (zHV * zHV)
+        dzL, dzB, dzHV, _, _ = _split(self.p, dy)
+        mu_prime = ((dzB - dzL) * zHV - heavy * dzHV) / (zHV * zHV)
         pmf_km1, pmf_k = _poisson_pmf(k - 1, lam), _poisson_pmf(k, lam)
         denom = poisson_tail(k, lam) + lam * pmf_km1 - mu * pmf_k
         return mu_prime * poisson_tail(k + 1, lam) / denom
@@ -67,8 +68,8 @@ def integrate_lambda_state(
     lam0 = initial_conditions(params.mu_bar, params.p.k)[3]
     y0 = np.append(_initial_vector(params), lam0)
     sol, x_star, y_star, ending = _solve(sys, y0)
-    x = np.linspace(0.0, x_star, params.samples)
+    x = np.linspace(0.0, x_star, SAMPLE_POINTS)
     y = sol.sol(x)
-    heavy, zHV = y[sys.i_zB] - y[sys.i_zL], y[sys.i_zHV]
-    mu = np.array([hv / z if z > 0 else math.nan for hv, z in zip(heavy, zHV)])
-    return x, y[-1], mu, _stats_from_state(params, x_star, y_star[:-1], ending)
+    zL, zB, zHV, _, _ = _split(params.p, y)
+    mu = np.array([hv / z if z > 0 else math.nan for hv, z in zip(zB - zL, zHV)])
+    return x, y[-1], mu, _stats_from_state(params.p, x_star, y_star[:-1], ending)

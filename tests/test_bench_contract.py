@@ -17,6 +17,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 from wkorient import cli, models, ode, peeling  # noqa: E402
+from wkorient.hypergraph import OrientationParams  # noqa: E402
 
 
 def test_every_traced_boundary_resolves():
@@ -95,3 +96,39 @@ def test_traced_file_chain_records_every_layer(tmp_path, capsys):
         "flow.orient",
     } <= names
     assert any(name.startswith("peeling.rancore.") for name in names)
+
+
+def test_traced_rate_solve_sits_under_both_ode_entry_points():
+    # perfbench counts poisson.solve_lambda by rebinding ode.solve_lambda;
+    # a local binding of it (an alias, a default argument, a closure) would
+    # zero those per-layer metrics while every output stayed the same
+    p = OrientationParams(3, 2, 4)
+    n = 2000
+    H = models.sample_uniform_multi(
+        n, round(5.0 * n / 3), 3, models.RngSeed(5, 1).generator()
+    )
+    pr = peeling.rancore(
+        H, p, mode="randomized", rng=models.RngSeed(5, 2).generator(), trace=True
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traj, _ = ode.integrate(ode.OdeParams(p, 5.0))
+        ode.trajectory_vs_trace(traj, pr.trace)
+    finally:
+        tracer.uninstall()
+    name = {span[0]: span[1] for span in tracer.spans}
+    parent = {span[0]: span[4] for span in tracer.spans}
+
+    def ancestors(idx):
+        while parent[idx] >= 0:
+            idx = parent[idx]
+            yield name[idx]
+
+    callers = {
+        caller
+        for idx, label in name.items()
+        if label == "poisson.solve_lambda"
+        for caller in ancestors(idx)
+    }
+    assert {"ode.integrate", "ode.trajectory_vs_trace"} <= callers

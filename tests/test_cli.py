@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wkorient.cli import main
+from wkorient.cli import ExperimentConfig, main, simulate_threshold
 from wkorient.flow import orient
 from wkorient.hypergraph import (
     Hypergraph,
@@ -15,7 +15,7 @@ from wkorient.hypergraph import (
     write_hypergraph,
 )
 from wkorient.models import RngSeed, sample_uniform_simple
-from wkorient.ode import BracketError, ThresholdResult
+from wkorient.ode import BracketError, DomainError, ThresholdResult
 
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n0 2\n"
 DOUBLE_ABC_TEXT = "3 2\n0 1 2\n0 1 2\n"
@@ -302,6 +302,47 @@ def test_ode_warns_when_no_core_ending(capsys):
     assert "warning" not in capsys.readouterr().err
 
 
+HWK = ["--h", "3", "--w", "2", "--k", "4"]
+SIM = ["simulate", *HWK, "--n", "200", "--trials", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["threshold", *HWK, "--tol", "nan"], "nan"),
+        (["threshold", *HWK, "--tol", "inf"], "inf"),
+        (["table1", "--tol", "nan"], "nan"),
+        ([*SIM, "--mu", "5", "--mu", "6", "--tol", "-1"], "-1.0"),
+        ([*SIM, "--mu", "5", "--mu", "6", "--tol", "nan"], "nan"),
+        (["ode", *HWK, "--mu", "nan"], "nan"),
+        (["ode", *HWK, "--mu", "inf"], "inf"),
+        ([*SIM, "--mu", "inf"], "inf"),
+        ([*SIM, "--mu", "nan"], "nan"),
+        ([*SIM, "--mu", "5", "--mu", "inf"], "inf"),
+        (["gen", "--h", "3", "--n", "10", "--mu", "inf"], "inf"),
+        (["gen", "--h", "3", "--n", "10", "--mu", "nan"], "nan"),
+    ],
+)
+def test_bad_tolerances_and_mean_degrees_exit_1(argv, bad, capsys):
+    # a tolerance that keeps bisection from running, or a mean degree
+    # outside (0, inf), is an error naming the value, not a silent answer
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wkorient: error: ")
+    assert bad in captured.err
+
+
+def test_library_calls_reject_bad_tolerances_and_mean_degrees():
+    p = OrientationParams(3, 2, 4)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            simulate_threshold(p, 200, 1, 0, tol=tol, bracket=(5.0, 6.0))
+    for mu_bar in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            ExperimentConfig(3, 2, 4, 200, mu_bar, 1, 0)
+
+
 def test_table1_survives_row_failures(capsys, monkeypatch):
     import wkorient.cli as cli
 
@@ -310,7 +351,7 @@ def test_table1_survives_row_failures(capsys, monkeypatch):
             raise BracketError("synthetic failure")
         return ThresholdResult(
             mu_tilde=5.5, bracket=(5.4, 5.6), kappa_lo=3.9, kappa_hi=4.1,
-            iterations=1, stats_lo=None, stats_hi=None, stats_at_threshold=None,
+            iterations=1, stats_at_threshold=None,
         )
 
     monkeypatch.setattr(cli, "find_threshold", flaky)

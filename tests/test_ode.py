@@ -49,10 +49,11 @@ def test_f_star_cases():
 def test_ode_params_validation():
     with pytest.raises(ValueError):
         OdeParams(P324, -1.0)
+    for mu_bar in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="positive and finite"):
+            OdeParams(P324, mu_bar)
     with pytest.raises(ValueError):
         OdeParams(P324, 5.0, rtol=0.0)
-    with pytest.raises(ValueError):
-        OdeParams(P324, 5.0, samples=1)
 
 
 def test_columns_hold_the_mean_degree_identity():
@@ -72,7 +73,8 @@ def test_initial_ball_derivative():
         params = OdeParams(p, mu_bar, **FAST)
         traj, _ = integrate(params)
         sys = _System(params)
-        rates = [sys.rhs(x, y)[sys.i_zB] for x, y in zip(traj.x, traj.y.T)]
+        i_zB = 2 * (p.w - 1) + 1  # dz_B in the state layout
+        rates = [sys.rhs(x, y)[i_zB] for x, y in zip(traj.x, traj.y.T)]
         assert rates[0] == pytest.approx(want, abs=1e-9)
         assert max(rates) <= -1.0 + 1e-9
 
@@ -180,7 +182,7 @@ def test_all_light_mass_underflows_to_instant_core():
 
 
 def test_trajectory_csv_layout():
-    traj, _ = _solve(P324, 6.0, samples=16)
+    traj, _ = _solve(P324, 6.0)
     buf = io.StringIO()
     traj.to_csv(buf)
     lines = buf.getvalue().strip().split("\n")
@@ -258,8 +260,9 @@ def test_threshold_brackets_the_known_crossing():
     assert res.kappa_lo <= P324.k < res.kappa_hi
     assert res.stats_at_threshold is not None
     assert res.mu_hat == pytest.approx(6.65, abs=0.05)
-    with pytest.raises(ValueError):
-        find_threshold(P324, tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            find_threshold(P324, tol=tol)
 
 
 def test_threshold_stays_below_counting_bound():

@@ -36,3 +36,11 @@ def test_make_threshold_table_rejects_a_nonpositive_tolerance(capsys):
     with pytest.raises(SystemExit):
         _load("make_threshold_table").main(["--tol", "0"])
     assert "--tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_make_threshold_table_rejects_a_nonfinite_tolerance(tol, capsys):
+    # a width bisection never gets under would return the seed bracket
+    with pytest.raises(SystemExit):
+        _load("make_threshold_table").main(["--tol", tol])
+    assert f"--tol must be positive and finite, got {tol}" in capsys.readouterr().err
