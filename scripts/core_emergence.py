@@ -3,8 +3,10 @@
 
 Walks a mean-degree grid through the core-emergence region and writes both
 the fixed-point prediction and sampled means for the surviving-vertex
-fraction, core density, and core mean degree.  The jump from an empty core
-to a macroscopic one is discontinuous in the limit; finite n rounds it off.
+fraction, core density, and core mean degree.  The grid runs from 0.8 to
+1.2 times the predicted emergence point mu_c unless --mu-lo/--mu-hi say
+otherwise.  Where k(h-w) > 1 the jump from an empty core to a macroscopic
+one is discontinuous in the limit; finite n rounds it off.
 """
 
 import argparse
@@ -12,6 +14,8 @@ import csv
 import sys
 
 from wkorient.cli import ExperimentConfig, core_profile
+from wkorient.hypergraph import OrientationParams
+from wkorient.ode import core_emergence
 
 
 def main(argv=None) -> int:
@@ -21,14 +25,17 @@ def main(argv=None) -> int:
     ap.add_argument("--k", type=int, default=4)
     ap.add_argument("--n", type=int, default=30000)
     ap.add_argument("--trials", type=int, default=5)
-    ap.add_argument("--mu-lo", type=float, default=4.3)
-    ap.add_argument("--mu-hi", type=float, default=6.3)
+    ap.add_argument("--mu-lo", type=float, default=None, help="default 0.8 mu_c")
+    ap.add_argument("--mu-hi", type=float, default=None, help="default 1.2 mu_c")
     ap.add_argument("--points", type=int, default=21)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="core_emergence.csv")
     args = ap.parse_args(argv)
+    _, mu_c = core_emergence(OrientationParams(args.h, args.w, args.k))
+    mu_lo = 0.8 * mu_c if args.mu_lo is None else args.mu_lo
+    mu_hi = 1.2 * mu_c if args.mu_hi is None else args.mu_hi
 
-    step = (args.mu_hi - args.mu_lo) / (args.points - 1)
+    step = (mu_hi - mu_lo) / (args.points - 1)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
@@ -36,7 +43,7 @@ def main(argv=None) -> int:
             "mu_hat_pred", "mu_hat_emp", "chi2_pvalue",
         ])
         for i in range(args.points):
-            mu_bar = args.mu_lo + i * step
+            mu_bar = mu_lo + i * step
             cfg = ExperimentConfig(
                 args.h, args.w, args.k, args.n, mu_bar, args.trials, args.seed
             )

@@ -12,7 +12,7 @@ import time
 
 from wkorient.cli import TABLE1_REFERENCE
 from wkorient.hypergraph import OrientationParams
-from wkorient.ode import BracketError, DomainError, FixedPointError, find_threshold
+from wkorient.ode import BracketError, DomainError, find_threshold
 
 
 def parse_triple(text: str) -> tuple[int, int, int]:
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         try:
             res = find_threshold(p, tol=args.tol)
-        except (BracketError, DomainError, FixedPointError) as exc:
+        except (BracketError, DomainError) as exc:
             print(f"{h:>3} {w:>3} {k:>3}  failed: {exc}", file=sys.stderr)
             continue
         dt = time.perf_counter() - t0

@@ -45,7 +45,6 @@ from .ode import (
     BracketError,
     CoreStats,
     DomainError,
-    FixedPointError,
     InitialStateError,
     OdeParams,
     core_fixed_point,
@@ -357,9 +356,9 @@ def simulate_threshold(
     core).  Without an explicit bracket, one is seeded from the numeric
     threshold prediction and widened until the endpoint fractions straddle
     one half.  Bisection stops at width <= tol, which must be positive and
-    finite; the estimate is the final midpoint with half the bracket as its
-    half-width (probe-level binomial noise is reported per probe, not
-    folded in).
+    finite, or once the midpoint falls on an end; the estimate is the final
+    midpoint with half the bracket as its half-width (probe-level binomial
+    noise is reported per probe, not folded in).
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -407,6 +406,8 @@ def simulate_threshold(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # tol below the float spacing of the bracket
+            break
         if fraction_at(mid) >= 0.5:
             lo = mid
         else:
@@ -544,9 +545,9 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
 
 def table1_rows(tol: float = 1e-4) -> list[dict]:
     """Compute the four reference parameter rows; a row whose threshold
-    cannot be found (no bracket, a mean degree outside the model, an
-    unsettled fixed point) carries its error text instead of aborting the
-    table.  Any other error propagates."""
+    cannot be found (no sign change on its bracket, a mean degree outside
+    the model) carries its error text instead of aborting the table.  Any
+    other error propagates."""
     rows = []
     for h, w, k, ref_mu_tilde, ref_mu_hat in TABLE1_REFERENCE:
         row = {
@@ -566,7 +567,7 @@ def table1_rows(tol: float = 1e-4) -> list[dict]:
                 delta_mu_hat=res.mu_hat - ref_mu_hat,
                 error="",
             )
-        except (BracketError, DomainError, FixedPointError) as exc:
+        except (BracketError, DomainError) as exc:
             row.update(
                 mu_tilde=None,
                 mu_hat=None,

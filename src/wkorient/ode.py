@@ -1,12 +1,15 @@
 """Core prediction, threshold bisection, and the peeling-process
 differential equations.
 
-Cores and thresholds come from the closed-form core fixed point
-(`core_fixed_point`): iterate q = P(Po(mu_bar r) >= k) with
-r = P(Bin(h-1, q) >= h-w) down from q = 1 to its largest root and read the
-core's vertex fraction, edge counts per size and density off that root
-(Molloy, RSA 2005; Lelarge, SODA 2012, here with edges that shrink to
-h-w+1 vertices).  `find_threshold` bisects on it.
+Cores and thresholds are solved in x, the Poisson rate at which a core
+vertex sees core edges.  Seen from an edge, a vertex survives with chance
+q = P(Po(x) >= k); seen from a vertex, an edge survives with chance
+r = P(Bin(h-1, q) >= h-w); and mean degree mu_bar gives x = mu_bar r.  So
+mu(x) = x / r(q(x)) is explicit (Molloy, RSA 2005; Lelarge, SODA 2012,
+here with edges that shrink to h-w+1 vertices).  It falls to one minimum
+mu_c, where the core emerges (`core_emergence`), and rises after it; the
+core at mu_bar >= mu_c is read off the root on [x_c, mu_bar]
+(`core_fixed_point`), and `find_threshold` bisects in x.
 
 The ODE draws the process itself: `integrate` follows the light/heavy
 ball buckets as the peel runs, for the `ode` command and for comparison
@@ -39,6 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq, minimize_scalar
 
 from .hypergraph import OrientationParams
 from .peeling import ProcessTrace
@@ -53,9 +57,9 @@ __all__ = [
     "BracketError",
     "DomainError",
     "InitialStateError",
-    "FixedPointError",
     "f_star",
     "integrate",
+    "core_emergence",
     "core_fixed_point",
     "find_threshold",
     "trajectory_vs_trace",
@@ -67,7 +71,7 @@ class StiffnessError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """Threshold bisection could not find a sign change to bracket."""
+    """A core or threshold solve found no sign change on its x bracket."""
 
 
 class DomainError(ValueError):
@@ -79,21 +83,8 @@ class InitialStateError(ValueError):
     or a mean heavy degree not above k+2."""
 
 
-class FixedPointError(RuntimeError):
-    """The core fixed-point iteration did not settle within its cap."""
-
-
-# Far above the iteration count of any point the package evaluates (a few
-# thousand at core emergence, where convergence is slowest).
-MAX_FIXED_POINT_ITERATIONS = 10**6
-
 # Points on the grid a trajectory is sampled at, from 0 to its ending.
 SAMPLE_POINTS = 512
-
-# Predicted vertex fractions below this are read as the empty core: as
-# q -> 0 alpha underflows towards 1e-169 while the demand ratio kappa blows
-# up towards 1e100.
-EMPTY_CORE_ALPHA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -420,57 +411,81 @@ def integrate(params: OdeParams) -> tuple[Trajectory, CoreStats]:
     return traj, _stats_from_state(p, x_star, y_star, terminated_by)
 
 
-def core_fixed_point(
-    p: OrientationParams, mu_bar: float, rtol: float = 1e-12, atol: float = 1e-14
-) -> CoreStats:
-    """Predicted (w,k+1)-core of the Poisson(mu_bar)-degree h-uniform model.
-
-    q is the chance that a vertex, seen from one of its edges, survives
-    (keeps k other core edges); r the chance that an edge, seen from one
-    of its vertices, survives (keeps at least h-w other core vertices):
-
-        r = P(Bin(h-1, q) >= h-w),    q = P(Po(mu_bar r) >= k).
-
-    Iterating from q = 1 descends to the largest root, which is the core;
-    it stops once |dq| <= atol + rtol q.  A core edge of size s has s
-    surviving vertices, so beta[s] = (mu_bar/h) P(Bin(h, q) = s) for
-    s >= h-w+1; x_star counts the signs granted on the way (w per dead
-    edge, h-s per surviving one), matching `integrate`'s x at its z_L
-    ending.  A vertex fraction below EMPTY_CORE_ALPHA is the empty core.
-
-    Raises DomainError unless 0 < mu_bar < inf, and FixedPointError when
-    the iteration has not settled after MAX_FIXED_POINT_ITERATIONS steps.
-    """
-    if not (math.isfinite(mu_bar) and mu_bar > 0):
-        raise DomainError(f"mu_bar must be positive and finite, got {mu_bar}")
+def _mean_degree(p: OrientationParams, x: float) -> float:
+    """mu(x) = x / r(q(x)); at x = 0 its limit, 1/(h-1) where k(h-w) = 1
+    (r ~ (h-1) x there) and inf elsewhere; inf also where r underflows."""
     h, w, k = p.h, p.w, p.k
+    r = float(special.bdtrc(h - w - 1, h - 1, special.gammainc(k, x)))
+    if r > 0.0:
+        return x / r
+    return 1.0 / (h - 1) if x == 0.0 and k * (h - w) == 1 else math.inf
 
-    def rate(q: float) -> float:
-        return mu_bar * float(special.bdtrc(h - w - 1, h - 1, q))
 
-    q = 1.0
-    for _ in range(MAX_FIXED_POINT_ITERATIONS):
-        q_next = float(special.gammainc(k, rate(q)))
-        settled = abs(q_next - q) <= atol + rtol * q_next
-        q = q_next
-        if settled:
-            break
-    else:
-        raise FixedPointError(
-            f"core fixed point at (h, w, k) = ({h}, {w}, {k}), "
-            f"mu_bar = {mu_bar} not settled after "
-            f"{MAX_FIXED_POINT_ITERATIONS} iterations (q = {q})"
-        )
-
+def _core_at(p: OrientationParams, mu_bar: float, x: float) -> CoreStats:
+    """The core at mean degree mu_bar and rate x (x = 0: the empty core).
+    A core edge of size s has s surviving vertices: beta[s] = (mu_bar/h)
+    P(Bin(h, q) = s) for s >= h-w+1.  x_star counts the signs granted on
+    the way (w per dead edge, h-s per surviving one), matching `integrate`'s
+    x at its z_L ending."""
+    h, w, k = p.h, p.w, p.k
+    q = float(special.gammainc(k, x))
     edges = mu_bar / h
     beta = {s: edges * math.comb(h, s) * q**s * (1.0 - q) ** (h - s) for s in p.sizes}
     x_star = edges * w * float(special.bdtr(h - w, h, q)) + sum(
         (h - s) * b for s, b in beta.items()
     )
-    alpha = float(special.gammainc(k + 1, rate(q)))
-    if alpha < EMPTY_CORE_ALPHA:
-        return _core_stats(p, x_star, "fixed_point")
+    alpha = float(special.gammainc(k + 1, x))
     return _core_stats(p, x_star, "fixed_point", alpha, beta)
+
+
+def core_emergence(p: OrientationParams) -> tuple[float, float]:
+    """The minimum mu_c of mu(x), where the core emerges, and its rate x_c.
+
+    Where k(h-w) = 1, mu(x) rises from its limit 1/(h-1) at x_c = 0: the
+    core grows continuously from nothing.  Elsewhere the minimum is found
+    in log x on [x_lo, hk/w]: q <= x^k/k! and r <= C(h-1, h-w) q^(h-w) give
+    mu(x) >= A x^(1-k(h-w)), A = k!^(h-w)/C(h-1, h-w), so mu(x) >= mu(hk/w)
+    for every x <= x_lo.
+    """
+    h, w, k = p.h, p.w, p.k
+    m = k * (h - w)
+    if m == 1:
+        return 0.0, _mean_degree(p, 0.0)
+    x_hi = h * k / w
+    log_a = (h - w) * math.lgamma(k + 1) - math.log(math.comb(h - 1, h - w))
+    t_lo = (log_a - math.log(_mean_degree(p, x_hi))) / (m - 1)
+    res = minimize_scalar(
+        lambda t: _mean_degree(p, math.exp(t)), bounds=(t_lo, math.log(x_hi)),
+        method="bounded", options={"xatol": 1e-10},
+    )
+    return math.exp(res.x), float(res.fun)
+
+
+def core_fixed_point(p: OrientationParams, mu_bar: float) -> CoreStats:
+    """Predicted (w,k+1)-core of the Poisson(mu_bar)-degree h-uniform model.
+
+    Below mu_c (`core_emergence`) the core is empty and every edge grants
+    its w signs: x_star = w mu_bar/h.  From mu_c on the core sits at the
+    root x of mu(x) = mu_bar that `brentq` finds on [x_c, mu_bar], where
+    mu rises from mu_c to at least mu_bar (r <= 1 gives mu(x) >= x); its
+    fractions follow from q = P(Po(x) >= k) and alpha = P(Po(x) >= k+1).
+
+    Raises DomainError unless 0 < mu_bar < inf, and BracketError naming
+    (h, w, k) when mu(x) - mu_bar does not change sign on [x_c, mu_bar].
+    """
+    if not (math.isfinite(mu_bar) and mu_bar > 0):
+        raise DomainError(f"mu_bar must be positive and finite, got {mu_bar}")
+    x_c, mu_c = core_emergence(p)
+    if mu_bar < mu_c:
+        return _core_at(p, mu_bar, 0.0)
+
+    def gap(x: float) -> float:
+        return _mean_degree(p, x) - mu_bar
+
+    if not gap(x_c) <= 0.0 <= gap(mu_bar):
+        raise BracketError(f"mu(x) = {mu_bar} has no root on x in [{x_c}, "
+                           f"{mu_bar}] at (h, w, k) = ({p.h}, {p.w}, {p.k})")
+    return _core_at(p, mu_bar, brentq(gap, x_c, mu_bar))
 
 
 @dataclass(frozen=True)
@@ -487,63 +502,45 @@ class ThresholdResult:
         return self.stats_at_threshold.mu_hat if self.stats_at_threshold else 0.0
 
 
-def find_threshold(
-    p: OrientationParams,
-    tol: float = 1e-4,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-) -> ThresholdResult:
-    """Bisection on mu_bar for the core density kappa(mu_bar) = k, with
-    kappa from `core_fixed_point` at stopping tolerances rtol/atol.
+def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
+    """The mean degree mu_tilde at which the core's density kappa crosses k.
 
-    An empty core counts as kappa = 0.  The seed bracket is [k, hk/w]; hk/w
-    is the hard counting bound above which density must exceed k, but both
-    ends are expanded a few times if the sign change isn't there yet.
+    Bisects in x on [x_c, hk/w], keeping kappa_lo <= k < kappa_hi, until
+    the mean degrees at the ends (the bracket) lie within tol or the
+    midpoint falls on an end.  mu(hk/w) >= hk/w gives the graph density at
+    least k there, which peeling (at most k demand per peeled vertex) passes
+    on to the core; it rounds to k only for a threshold within float noise
+    of hk/w.  A core emerging continuously (x_c = 0) has density k at mu_c,
+    the threshold then; otherwise mu_tilde is the bracket's midpoint.
+
+    Raises ValueError unless 0 < tol < inf, and BracketError naming
+    (h, w, k) when kappa - k does not change sign on [x_c, hk/w].
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-
-    def kappa_of(mu_bar: float) -> float:
-        return core_fixed_point(p, mu_bar, rtol=rtol, atol=atol).kappa
-
-    lo = float(p.k)
-    hi = p.h * p.k / p.w
-    kappa_lo = kappa_of(lo)
-    tries = 0
-    while kappa_lo > p.k:
-        lo *= 0.8
-        kappa_lo = kappa_of(lo)
-        tries += 1
-        if tries > 8:
-            raise BracketError(f"no lower bracket below mu_bar={lo}")
-    kappa_hi = kappa_of(hi)
-    tries = 0
-    while kappa_hi <= p.k:
-        hi += max(0.5, 0.1 * hi)
-        kappa_hi = kappa_of(hi)
-        tries += 1
-        if tries > 8:
-            raise BracketError(f"no upper bracket up to mu_bar={hi}")
+    x_c, mu_c = core_emergence(p)
+    x_lo, x_hi = x_c, p.h * p.k / p.w
+    mu_lo, mu_hi = mu_c, _mean_degree(p, x_hi)
+    kappa_lo = _core_at(p, mu_lo, x_lo).kappa
+    kappa_hi = _core_at(p, mu_hi, x_hi).kappa
+    if not kappa_lo <= p.k < kappa_hi:
+        raise BracketError(f"core density {kappa_lo} to {kappa_hi} on x in [{x_lo}, "
+                           f"{x_hi}] at (h, w, k) = ({p.h}, {p.w}, {p.k})")
     iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        kappa_mid = kappa_of(mid)
-        if kappa_mid <= p.k:
-            lo, kappa_lo = mid, kappa_mid
+    while mu_hi - mu_lo > tol:
+        x = 0.5 * (x_lo + x_hi)
+        if x in (x_lo, x_hi):
+            break
+        mu_x = _mean_degree(p, x)
+        kappa_x = _core_at(p, mu_x, x).kappa
+        if kappa_x <= p.k:
+            x_lo, mu_lo, kappa_lo = x, mu_x, kappa_x
         else:
-            hi, kappa_hi = mid, kappa_mid
+            x_hi, mu_hi, kappa_hi = x, mu_x, kappa_x
         iterations += 1
-        if iterations > 200:  # pragma: no cover - a finite tol > 0 guarantees exit
-            raise BracketError("bisection failed to converge")
-    mu_tilde = 0.5 * (lo + hi)
-    return ThresholdResult(
-        mu_tilde=mu_tilde,
-        bracket=(lo, hi),
-        kappa_lo=kappa_lo,
-        kappa_hi=kappa_hi,
-        iterations=iterations,
-        stats_at_threshold=core_fixed_point(p, mu_tilde, rtol=rtol, atol=atol),
-    )
+    mu_tilde = mu_c if x_c == 0.0 else 0.5 * (mu_lo + mu_hi)
+    stats = core_fixed_point(p, mu_tilde)
+    return ThresholdResult(mu_tilde, (mu_lo, mu_hi), kappa_lo, kappa_hi, iterations, stats)
 
 
 def trajectory_vs_trace(traj: Trajectory, trace: ProcessTrace) -> dict[str, float]:

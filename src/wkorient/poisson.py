@@ -129,7 +129,9 @@ def _mean_and_slope(lam: float, k: int) -> tuple[float, float]:
         ratio = math.exp(_log_pmf(k - 1, lam) - log_poisson_tail(k, lam))
         return lam * (1.0 + ratio), 1.0
     t, dt = _tail_series(k, lam)
-    return lam + k / t, 1.0 - k * dt / (t * t)
+    # past T_k = 1e150 (lam above about 350) T_k^2 nears overflow, and
+    # k T_k'/T_k^2 <= k/T_k (T_k' <= T_k) leaves the slope at exactly 1.0
+    return lam + k / t, (1.0 if t > 1e150 else 1.0 - k * dt / (t * t))
 
 
 def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:

@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple
 
 import mpmath
 import numpy as np
+from scipy import special
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
@@ -669,3 +670,42 @@ def classical_core_fixed_point(h: int, k: int, mu_bar, dps: int = 40):
         alpha = f_k_mp(k + 1, lam, dps)
         mu_hat = lam * f_k_mp(k, lam, dps) / alpha
         return alpha, mu_hat
+
+
+# ---------------------------------------------------------------------------
+# the (w,k+1)-core fixed point by iteration in q
+# ---------------------------------------------------------------------------
+
+def iterated_core_fixed_point(h: int, w: int, k: int, mu_bar: float) -> dict:
+    """The core of the Poisson(mu_bar)-degree h-uniform model by iterating
+
+        q <- P(Po(mu_bar r(q)) >= k),    r(q) = P(Bin(h-1, q) >= h-w),
+
+    down from q = 1 to its largest root, until a step moves q by at most
+    1e-14 q.  Converges ever more slowly towards core emergence.  Returns
+    alpha, beta (edges per size per vertex), kappa, mu_hat and x_star.
+    """
+    def rate(q: float) -> float:
+        return mu_bar * float(special.bdtrc(h - w - 1, h - 1, q))
+
+    q = 1.0
+    for _ in range(10**6):
+        q_next = float(special.gammainc(k, rate(q)))
+        done = abs(q_next - q) <= 1e-14 * q_next
+        q = q_next
+        if done:
+            break
+    else:
+        raise RuntimeError(f"q iteration unsettled at {(h, w, k)}, mu_bar={mu_bar}")
+    edges = mu_bar / h
+    sizes = range(h, h - w, -1)
+    beta = {s: edges * math.comb(h, s) * q**s * (1.0 - q) ** (h - s) for s in sizes}
+    alpha = float(special.gammainc(k + 1, rate(q)))
+    return {
+        "alpha": alpha,
+        "beta": beta,
+        "kappa": sum(sign_demand(h, w, s) * b for s, b in beta.items()) / alpha,
+        "mu_hat": sum(s * b for s, b in beta.items()) / alpha,
+        "x_star": edges * w * float(special.bdtr(h - w, h, q))
+        + sum((h - s) * b for s, b in beta.items()),
+    }

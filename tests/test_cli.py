@@ -1,7 +1,9 @@
 """The command-line surface: exit codes, formats, and reproducibility."""
 
 import json
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -209,6 +211,16 @@ def test_threshold_csv(capsys):
     assert 5.4 < float(vals[3]) < 5.6
 
 
+def test_threshold_of_the_graph_case(capsys):
+    # (2,1,1): the core emerges continuously at mu_bar = 1, where a random
+    # graph stops being 1-orientable
+    assert main(["threshold", "--h", "2", "--w", "1", "--k", "1",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mu_tilde"] == 1.0
+    assert payload["kappa_lo"] <= 1 < payload["kappa_hi"]
+
+
 def test_simulate_single_point(capsys):
     code = main(
         ["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "2000",
@@ -341,6 +353,26 @@ def test_library_calls_reject_bad_tolerances_and_mean_degrees():
     for mu_bar in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             ExperimentConfig(3, 2, 4, 200, mu_bar, 1, 0)
+
+
+def test_simulate_bisection_ends_on_float_spacing(monkeypatch):
+    # a tol below the float spacing of the bracket ends where the midpoint
+    # meets an end, instead of probing that mean degree forever
+    import wkorient.cli as cli
+
+    probes = []
+
+    def stub(cfg, stream_base):
+        probes.append(cfg.mu_bar)
+        return [SimpleNamespace(orientable=cfg.mu_bar < 5.5)] * cfg.trials
+
+    monkeypatch.setattr(cli, "_run_batch", stub)
+    rep = simulate_threshold(
+        OrientationParams(3, 2, 4), 200, 2, 0, tol=1e-300, bracket=(5.0, 6.0)
+    )
+    assert len(probes) < 64
+    lo, hi = rep.bracket
+    assert lo < 5.5 <= hi and math.nextafter(lo, hi) == hi
 
 
 def test_table1_survives_row_failures(capsys, monkeypatch):

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from ode_reference import integrate_lambda_state
-from oracles import classical_core_fixed_point
+from oracles import classical_core_fixed_point, iterated_core_fixed_point
 from wkorient.hypergraph import OrientationParams
 from wkorient.models import RngSeed, sample_uniform_multi
 import wkorient.ode as ode
 from wkorient.ode import (
+    BracketError,
     DomainError,
-    FixedPointError,
     OdeParams,
     _System,
+    core_emergence,
     core_fixed_point,
     f_star,
     find_threshold,
@@ -243,10 +244,70 @@ def test_fixed_point_rejects_undefined_mean_degree():
     assert issubclass(DomainError, ValueError)
 
 
-def test_fixed_point_iteration_cap_names_the_point(monkeypatch):
-    monkeypatch.setattr(ode, "MAX_FIXED_POINT_ITERATIONS", 3)
-    with pytest.raises(FixedPointError, match=r"\(3, 2, 4\), mu_bar = 5\.0 "):
+def test_a_solve_without_a_sign_change_names_the_point(monkeypatch):
+    # an emergence rate past mu_bar leaves mu(x) - mu_bar positive at both
+    # ends of the core's bracket; one at hk/w leaves the threshold's
+    # density above k at both ends of its bracket
+    monkeypatch.setattr(ode, "core_emergence", lambda p: (10.0, 1.0))
+    with pytest.raises(BracketError, match=r"\(h, w, k\) = \(3, 2, 4\)"):
         core_fixed_point(P324, 5.0)
+    monkeypatch.setattr(
+        ode, "core_emergence", lambda p: (6.0, ode._mean_degree(p, 6.0))
+    )
+    with pytest.raises(BracketError, match=r"\(h, w, k\) = \(3, 2, 4\)"):
+        find_threshold(P324)
+
+
+# mu_c, the minimum of mu(x) = x / r(q(x)), at six discontinuous emergences
+EMERGENCE = {
+    (3, 2, 4): 4.8952906802,
+    (3, 2, 10): 12.4347574,
+    (3, 2, 40): 46.9845180,
+    (10, 2, 4): 8.2846496,
+    (3, 1, 1): 2.4554075,
+    (5, 3, 2): 2.4288979,
+}
+CONTINUOUS = [(2, 1, 1), (3, 2, 1), (4, 3, 1)]  # k(h-w) = 1
+
+
+def test_core_emergence_finds_the_minimum():
+    for hwk, mu_c in EMERGENCE.items():
+        x_c, got = core_emergence(OrientationParams(*hwk))
+        assert got == pytest.approx(mu_c, rel=1e-7), hwk
+        assert 0.0 < x_c < got
+    for h, w, k in CONTINUOUS:
+        assert core_emergence(OrientationParams(h, w, k)) == (0.0, 1.0 / (h - 1))
+
+
+@pytest.mark.parametrize("hwk", EMERGENCE)
+def test_fixed_point_matches_the_q_iteration_above_emergence(hwk):
+    p = OrientationParams(*hwk)
+    _, mu_c = core_emergence(p)
+    for mu_bar in (mu_c + 0.01, mu_c + 0.5, mu_c + 2.0):
+        got = core_fixed_point(p, mu_bar)
+        ref = iterated_core_fixed_point(*hwk, mu_bar)
+        for name in ("alpha", "kappa", "mu_hat", "x_star"):
+            assert getattr(got, name) == pytest.approx(ref[name], rel=1e-9), (
+                mu_bar,
+                name,
+            )
+        assert set(got.beta) == set(ref["beta"])
+        for s, b in ref["beta"].items():
+            assert got.beta[s] == pytest.approx(b, rel=1e-9), (mu_bar, s)
+
+
+@pytest.mark.parametrize("hwk", [*EMERGENCE, *CONTINUOUS])
+def test_fixed_point_is_empty_below_emergence(hwk):
+    # every edge dies, each granting its w signs; a continuous emergence
+    # starts from the empty core at mu_c itself
+    p = OrientationParams(*hwk)
+    _, mu_c = core_emergence(p)
+    below = [0.5 * mu_c, mu_c * (1 - 1e-9)]
+    for mu_bar in below + ([mu_c] if hwk in CONTINUOUS else []):
+        stats = core_fixed_point(p, mu_bar)
+        assert stats.empty and stats.kappa == 0.0 and stats.mu_hat == 0.0
+        assert set(stats.beta.values()) == {0.0}
+        assert stats.x_star == pytest.approx(p.w * mu_bar / p.h, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +315,7 @@ def test_fixed_point_iteration_cap_names_the_point(monkeypatch):
 
 
 def test_threshold_brackets_the_known_crossing():
-    res = find_threshold(P324, tol=1e-3, rtol=1e-9, atol=1e-11)
+    res = find_threshold(P324, tol=1e-3)
     assert 5.4 < res.mu_tilde < 5.6
     assert res.bracket[1] - res.bracket[0] <= 1e-3
     assert res.kappa_lo <= P324.k < res.kappa_hi
@@ -267,8 +328,29 @@ def test_threshold_brackets_the_known_crossing():
 
 def test_threshold_stays_below_counting_bound():
     # hk/w balls per vertex is a hard wall; the threshold sits strictly under
-    res = find_threshold(OrientationParams(10, 2, 4), tol=1e-3, rtol=1e-9, atol=1e-11)
+    res = find_threshold(OrientationParams(10, 2, 4), tol=1e-3)
     assert res.mu_tilde < 10 * 4 / 2
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+def test_continuous_emergence_is_the_threshold(tol):
+    # k(h-w) = 1: the core grows from nothing at density k, so the density
+    # exceeds k from mu_c = 1/(h-1) on
+    for h, w, k in CONTINUOUS:
+        res = find_threshold(OrientationParams(h, w, k), tol=tol)
+        assert res.mu_tilde == pytest.approx(1.0 / (h - 1), abs=1e-12)
+        assert res.bracket[0] <= res.mu_tilde <= res.bracket[1]
+        assert res.bracket[1] - res.bracket[0] <= tol
+        assert res.kappa_lo <= k < res.kappa_hi
+        assert res.stats_at_threshold.empty
+
+
+def test_threshold_bisection_ends_on_float_spacing():
+    # a tol below the float spacing ends where the midpoint meets an end
+    res = find_threshold(P324, tol=1e-300)
+    assert res.bracket[1] - res.bracket[0] <= 1e-12
+    assert res.kappa_lo <= P324.k < res.kappa_hi
+    assert res.iterations < 64
 
 
 def test_trajectory_vs_trace_is_pinned():

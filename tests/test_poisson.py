@@ -1,6 +1,7 @@
 """Truncated-Poisson machinery against an mpmath oracle and frozen values."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -154,6 +155,15 @@ def test_solve_lambda_matches_mpmath():
         assert solve_lambda(mu, k) == pytest.approx(
             float(solve_lambda_mp(mu, k)), rel=1e-10
         )
+
+
+def test_solve_lambda_takes_numpy_floats_where_the_slope_square_overflows():
+    # T_5 exceeds 1e154 at these rates, so its square would overflow: a
+    # numpy float must neither warn nor move the root
+    for mu in (400.0, 500.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_lambda(np.float64(mu), 4) == solve_lambda(mu, 4)
 
 
 def test_truncated_mean_frozen_and_oracle():

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from wkorient.cli import table1_rows
+from wkorient.hypergraph import OrientationParams
+from wkorient.ode import core_emergence
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -44,3 +46,17 @@ def test_make_threshold_table_rejects_a_nonfinite_tolerance(tol, capsys):
     with pytest.raises(SystemExit):
         _load("make_threshold_table").main(["--tol", tol])
     assert f"--tol must be positive and finite, got {tol}" in capsys.readouterr().err
+
+
+def _grid(tmp_path, *argv) -> list[float]:
+    out = tmp_path / "emergence.csv"
+    base = ["--k", "10", "--n", "300", "--trials", "1", "--points", "3"]
+    assert _load("core_emergence").main([*base, *argv, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return [float(r["mu_bar"]) for r in csv.DictReader(fh)]
+
+
+def test_core_emergence_centres_its_grid_on_mu_c(tmp_path, capsys):
+    _, mu_c = core_emergence(OrientationParams(3, 2, 10))
+    assert _grid(tmp_path) == [round(f * mu_c, 4) for f in (0.8, 1.0, 1.2)]
+    assert _grid(tmp_path, "--mu-lo", "14", "--mu-hi", "16") == [14.0, 15.0, 16.0]
