@@ -425,12 +425,12 @@ GOLDEN = {
     "simulate_csv": ("b8f2e1ed85fc7c81fc5cf181045ac348c5a70d048818f4499c54ee8422ec2a0c", 319),
     "simulate_bracket_csv": ("7ac3c8e5ff2aa784fcc568da74250358aba1caaa302d27fc1bbcdd4dbaba68fd", 797),
     "simulate_bracket_json": ("d52a0129e1888e65b6d2c7712ea3d7930a48e02db21df7d97c601701b7172d73", 3615),
-    "core_profile_csv": ("23bdcc17075aff20f6c417354c5bd31523392d23e1afb8a35297bb8449129fb6", 543),
-    "core_profile_json": ("0974729f42d3f3f5396203efc2f64e9779475228ae49ca72985a47154f16c515", 1723),
-    "threshold_csv": ("156e974ba8f5d10213e0930d8562167f92b360e0ea4c74af9afb47137e4ffe04", 56),
-    "threshold_json": ("68a2ae981bd815a083c64b742da01aad3a4e0103ba7d38af7271c2258091295a", 549),
-    "table1_csv": ("d46e8fc8ae6eec2abc18850361f9a56690d366f32accb710126ca37a24506648", 538),
-    "table1_json": ("74d43547b04342851b52fba5f43667738c25595185812d4d46591f71f1ae0569", 1381),
+    "core_profile_csv": ("186b3bf74ec9a1abe74d92a7be5618e909d1c4b603e23072c13e2c91440d1b4a", 544),
+    "core_profile_json": ("c74a8d80f8a8214cc357dfc5bd7c16c2a12f67c34aee0c4ba2cf5d48be2f797d", 1723),
+    "threshold_csv": ("d378956d9833bd3363a084dbb0be69f1825431f827ea89a51fa5d4e1513bf971", 64),
+    "threshold_json": ("0f7414e5f5aefddce3b2799d3b0d9a29a74f432a7a70848a17f7b9f5cfad7f6d", 574),
+    "table1_csv": ("f9921a896982f7820dcda6f6d57f7daf426ceaa1d7e93c9b0f26069f486b7896", 539),
+    "table1_json": ("b6d385d2eb8b106b1c3c7278354a079c1c196a29995459b45c1415a4a7148ae9", 1382),
     "ode_311_json": ("b1f235fed36820076bbc1dd7a1a8dd640e5cb9bf610587ab497d244e86c764c2", 269),
     "ode_311_csv": ("0d844282c79ce463f0200313e806675a0953b11c9974b0abc30e26045fec5e4f", 59825),
     "ode_211_json": ("75dc93fb4a87f564cee5fb0839a8bf889d6cb57504853d9a6f1c5ecf3c141296", 175),
