@@ -51,8 +51,9 @@ def main(argv=None) -> int:
             continue
         dt = time.perf_counter() - t0
         rows.append((h, w, k, res.mu_tilde, res.mu_hat))
+        mu_hat = "" if res.mu_hat is None else f"{res.mu_hat:.6f}"
         print(f"{h:>3} {w:>3} {k:>3} {res.mu_tilde:>12.6f} "
-              f"{res.mu_hat:>12.6f} {h * k / w:>10.4f} {dt:>8.2f}")
+              f"{mu_hat:>12} {h * k / w:>10.4f} {dt:>8.2f}")
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -564,7 +564,7 @@ def table1_rows(tol: float = 1e-4) -> list[dict]:
                 mu_tilde=res.mu_tilde,
                 mu_hat=res.mu_hat,
                 delta_mu_tilde=res.mu_tilde - ref_mu_tilde,
-                delta_mu_hat=res.mu_hat - ref_mu_hat,
+                delta_mu_hat=None if res.mu_hat is None else res.mu_hat - ref_mu_hat,
                 error="",
             )
         except (BracketError, DomainError) as exc:
@@ -718,7 +718,7 @@ def _cmd_threshold(args) -> int:
         "kappa_lo": res.kappa_lo,
         "kappa_hi": res.kappa_hi,
         "iterations": res.iterations,
-        "stats_at_threshold": _stats_dict(at) if at else None,
+        "stats_at_threshold": None if res.mu_hat is None else _stats_dict(at),
     }
     return _emit(args, "threshold", payload, ["h", "w", "k", "mu_tilde", "mu_hat"])
 

@@ -14,7 +14,11 @@ still decided exactly while S may fail the density bound (instances exist
 with no dense subset at all); kappa_S is reported as computed either way.
 
 Production flow is scipy's Dinic; tests cross-check a naive augmenting-path
-implementation.
+implementation.  Dinic runs from the source unless the total sign demand
+exceeds the sink capacity k|V|.  Such an instance is non-orientable by
+counting, and Dinic then runs on the transposed network from the sink,
+which is faster on those cores.  S does not depend on the direction: the
+residual-reachable set is the same for every maximum flow.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "build_network",
     "max_flow",
     "orient",
-    "min_max_indegree",
 ]
 
 
@@ -55,6 +58,7 @@ class FlowNetwork:
     num_edges: int
     num_vertices: int
     total_demand: int
+    sink_capacity: int
 
     @property
     def source(self) -> int:
@@ -108,12 +112,26 @@ def build_network(H: Hypergraph, p: OrientationParams) -> FlowNetwork:
     ).astype(np.int32)
     size = m + n + 2
     mat = csr_matrix((data, indices, indptr), shape=(size, size))
-    return FlowNetwork(mat, m, n, int(demand.sum()))
+    return FlowNetwork(mat, m, n, int(demand.sum()), p.k * n)
 
 
 def max_flow(net: FlowNetwork) -> tuple[int, csr_matrix]:
     """Exact integral max flow from source to sink; returns (value, flow
-    matrix on the capacity sparsity)."""
+    matrix on the capacity sparsity, with the reverse arcs holding -f).
+
+    When the demand exceeds the sink capacity k|V|, no flow saturates the
+    source arcs, and Dinic runs from the sink on the transposed capacities.
+    scipy's flow matrix holds f on each arc and -f on its reverse, so the
+    transpose of that flow is its negation.  Every maximum flow leaves the
+    same nodes reachable from the source in its residual network (the
+    source side of the smallest minimum cut), so the witness S is the same
+    either way; instances that can orient keep the forward flow and with
+    it their orientation bytes.
+    """
+    if net.total_demand > net.sink_capacity:
+        res = maximum_flow(net.capacities.T.tocsr(), net.sink, net.source)
+        res.flow.data *= -1  # transpose back
+        return int(res.flow_value), res.flow
     res = maximum_flow(net.capacities, net.source, net.sink)
     return int(res.flow_value), res.flow
 
@@ -167,38 +185,3 @@ def orient(H: Hypergraph, p: OrientationParams) -> Union[Orientation, CutWitness
                 f"cut witness fails to violate the density bound: {witness}"
             )
     return witness
-
-
-def min_max_indegree(
-    H: Hypergraph, w: int, h: Optional[int] = None
-) -> tuple[int, Orientation]:
-    """Smallest k admitting a (w,k)-orientation, with one such orientation.
-
-    h defaults to the largest edge size (i.e. the input is taken to be
-    unpeeled).  Binary search between the density lower bound and the max
-    degree, which always suffices.
-    """
-    if H.num_edges == 0:
-        return 0, Orientation([])
-    if h is None:
-        h = max(len(e) for e in H.edges)
-    for e in H.edges:
-        if len(set(e)) < w - (h - len(e)):
-            raise ValueError(f"edge {e} has too few distinct vertices for {w} signs")
-    probe = OrientationParams(h, w, 1)
-    kappa = w_density(H, probe)
-    lo = max(1, -(-kappa.numerator // kappa.denominator))
-    hi = max(max(H.degrees()), lo)
-    best: Optional[Orientation] = None
-    best_k = hi
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        res = orient(H, OrientationParams(h, w, mid))
-        if isinstance(res, Orientation):
-            best, best_k = res, mid
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:  # pragma: no cover - upper bound argument rules this out
-        raise RuntimeError("no orientation found at the max-degree bound")
-    return best_k, best

@@ -498,8 +498,11 @@ class ThresholdResult:
     stats_at_threshold: Optional[CoreStats]
 
     @property
-    def mu_hat(self) -> float:
-        return self.stats_at_threshold.mu_hat if self.stats_at_threshold else 0.0
+    def mu_hat(self) -> Optional[float]:
+        """The core's mean degree at mu_tilde; None where that core is empty
+        (a continuous emergence, where only a limit from above exists)."""
+        at = self.stats_at_threshold
+        return None if at is None or at.empty else at.mu_hat
 
 
 def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
@@ -509,12 +512,14 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
     the mean degrees at the ends (the bracket) lie within tol or the
     midpoint falls on an end.  mu(hk/w) >= hk/w gives the graph density at
     least k there, which peeling (at most k demand per peeled vertex) passes
-    on to the core; it rounds to k only for a threshold within float noise
-    of hk/w.  A core emerging continuously (x_c = 0) has density k at mu_c,
-    the threshold then; otherwise mu_tilde is the bracket's midpoint.
+    on to the core.  For a threshold within float noise of hk/w the core
+    density there rounds to k, and the upper end moves once to 2hk/w,
+    where the same argument gives at least 2k.  A core emerging
+    continuously (x_c = 0) has density k at mu_c, the threshold then;
+    otherwise mu_tilde is the bracket's midpoint.
 
     Raises ValueError unless 0 < tol < inf, and BracketError naming
-    (h, w, k) when kappa - k does not change sign on [x_c, hk/w].
+    (h, w, k) when kappa - k does not change sign on that bracket.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -523,6 +528,10 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
     mu_lo, mu_hi = mu_c, _mean_degree(p, x_hi)
     kappa_lo = _core_at(p, mu_lo, x_lo).kappa
     kappa_hi = _core_at(p, mu_hi, x_hi).kappa
+    if kappa_hi <= p.k:
+        x_hi *= 2
+        mu_hi = _mean_degree(p, x_hi)
+        kappa_hi = _core_at(p, mu_hi, x_hi).kappa
     if not kappa_lo <= p.k < kappa_hi:
         raise BracketError(f"core density {kappa_lo} to {kappa_hi} on x in [{x_lo}, "
                            f"{x_hi}] at (h, w, k) = ({p.h}, {p.w}, {p.k})")

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written in the most direct style possible
 (exhaustive enumeration, plain BFS augmenting paths, mpmath series, tuple
-loops) so that agreement with the package is meaningful.  Nothing imports
-from wkorient.
+loops) so that agreement with the package is meaningful.  The one
+exception is `min_max_indegree`, a binary search that calls the package's
+flow decider; it lives here because only tests use it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import numpy as np
 from scipy import special
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
+
+from wkorient.flow import orient
+from wkorient.hypergraph import Orientation, OrientationParams
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +396,17 @@ def dict_orient(edges, n: int, h: int, w: int, k: int):
             tuple(v for v in sorted(set(e)) if fmap.get((1 + i, 1 + m + v), 0) >= 1)
             for i, e in enumerate(edges)
         ))
+    seen = residual_reachable(cap, res.flow, 0)
+    S = tuple(v for v in range(n) if 1 + m + v in seen)
+    kappa = kappa_exact(w_induced(edges, S, h, w), len(S), h, w) if S else None
+    return ("witness", S, kappa, None)
+
+
+def residual_reachable(cap: csr_matrix, flow: csr_matrix, source: int) -> set:
+    """Nodes reachable from source over the arcs with cap - f > 0 and the
+    reverse of every arc carrying f > 0, by a DFS over dicts."""
+    coo = flow.tocoo()
+    fmap = {(int(i), int(j)): int(f) for i, j, f in zip(coo.row, coo.col, coo.data) if f > 0}
     nxt: dict = {}
     c = cap.tocoo()
     for i, j, cc in zip(c.row.tolist(), c.col.tolist(), c.data.tolist()):
@@ -400,15 +415,13 @@ def dict_orient(edges, n: int, h: int, w: int, k: int):
             nxt.setdefault(i, []).append(j)
         if f > 0:
             nxt.setdefault(j, []).append(i)
-    seen, stack = {0}, [0]
+    seen, stack = {source}, [source]
     while stack:
         for v in nxt.get(stack.pop(), ()):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    S = tuple(v for v in range(n) if 1 + m + v in seen)
-    kappa = kappa_exact(w_induced(edges, S, h, w), len(S), h, w) if S else None
-    return ("witness", S, kappa, None)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +458,38 @@ def orientation_search(edges, n: int, h: int, w: int, k: int):
         return None
 
     return rec(0)
+
+
+def min_max_indegree(H, w: int, h: int | None = None) -> tuple[int, Orientation]:
+    """Smallest k admitting a (w,k)-orientation, with one such orientation,
+    found by binary search over the package's `orient`.
+
+    h defaults to the largest edge size (i.e. the input is taken to be
+    unpeeled).  The search runs between the density lower bound and the
+    max degree, which always suffices.
+    """
+    if not H.edges:
+        return 0, Orientation([])
+    if h is None:
+        h = max(len(e) for e in H.edges)
+    for e in H.edges:
+        if len(set(e)) < sign_demand(h, w, len(e)):
+            raise ValueError(f"edge {e} has too few distinct vertices for {w} signs")
+    kappa = kappa_exact(H.edges, H.n, h, w)
+    lo = max(1, math.ceil(kappa))
+    hi = max(max(Counter(v for e in H.edges for v in e).values()), lo)
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        res = orient(H, OrientationParams(h, w, mid))
+        if isinstance(res, Orientation):
+            best = (mid, res)
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    if best is None:
+        raise AssertionError("max degree must orient")
+    return best
 
 
 def min_max_indegree_search(edges, n: int, h: int, w: int):

@@ -221,6 +221,23 @@ def test_threshold_of_the_graph_case(capsys):
     assert payload["kappa_lo"] <= 1 < payload["kappa_hi"]
 
 
+@pytest.mark.parametrize("h, w", [(2, 1), (3, 2)])
+def test_threshold_at_a_continuous_emergence_leaves_mu_hat_open(capsys, h, w):
+    # k(h-w) = 1: the core at mu_c = 1/(h-1) is empty and its mean degree is
+    # only a limit from above, so no number stands for it
+    argv = ["threshold", "--h", str(h), "--w", str(w), "--k", "1"]
+    assert main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mu_tilde"] == pytest.approx(1.0 / (h - 1), abs=1e-12)
+    assert payload["mu_hat"] is None
+    assert payload["stats_at_threshold"] is None
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header == "h,w,k,mu_tilde,mu_hat"
+    assert row.split(",")[:3] == [str(h), str(w), "1"]
+    assert row.split(",")[4] == ""
+
+
 def test_simulate_single_point(capsys):
     code = main(
         ["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "2000",

@@ -3,20 +3,23 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import maximum_flow
 
 from oracles import (
     hakimi_check,
+    min_max_indegree,
     min_max_indegree_search,
     naive_max_flow,
     orientation_search,
+    residual_reachable,
 )
 from wkorient.flow import (
     CutWitness,
+    _residual_reachable,
     build_network,
     max_flow,
-    min_max_indegree,
     orient,
 )
 from wkorient.hypergraph import (
@@ -86,6 +89,28 @@ def test_max_flow_matches_naive_solver(inst):
     want, _ = naive_max_flow(caps, net.source, net.sink)
     assert value == want
     assert value <= net.total_demand
+
+
+@given(flow_instances(max_m=10))
+@example((DOUBLE_ABC, OrientationParams(3, 2, 1)))  # demand 4 > k|V| = 3
+@settings(max_examples=150)
+def test_max_flow_and_its_cut_match_a_forward_flow(inst):
+    # an instance owing more signs than k|V| gets its flow from the sink
+    # side; its value, its conservation and the residual-reachable set must
+    # be those of scipy's flow run forward from the source
+    H, p = inst
+    net = build_network(H, p)
+    value, flow = max_flow(net)
+    ref = maximum_flow(net.capacities, net.source, net.sink)
+    assert value == ref.flow_value
+    F, cap = flow.toarray(), net.capacities.toarray()
+    assert (F == -F.T).all() and (F <= cap).all()  # f on arcs, -f reversed
+    net_out = F.sum(axis=1)
+    assert net_out[net.source] == value == -net_out[net.sink]
+    assert not net_out[net.source + 1 : net.sink].any()
+    S = residual_reachable(net.capacities, flow, net.source)
+    assert S == residual_reachable(net.capacities, ref.flow, net.source)
+    assert S == set(_residual_reachable(net, flow).tolist())
 
 
 # ---------------------------------------------------------------------------

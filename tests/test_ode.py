@@ -332,6 +332,24 @@ def test_threshold_stays_below_counting_bound():
     assert res.mu_tilde < 10 * 4 / 2
 
 
+@pytest.mark.parametrize("hwk, mu_tilde", [
+    ((20, 1, 5), None),  # the density at hk/w rounds to exactly k
+    ((3, 2, 200), 299.9999996828614),
+    ((2, 1, 100), 199.999999693981),
+    ((20, 2, 4), 39.99999953351622),
+    ((30, 1, 1), 29.999999627247412),
+])
+def test_threshold_within_float_noise_of_the_counting_bound(hwk, mu_tilde):
+    h, w, k = hwk
+    res = find_threshold(OrientationParams(h, w, k), tol=1e-6)
+    assert res.mu_tilde == pytest.approx(h * k / w, abs=1e-6)
+    assert res.bracket[0] <= res.mu_tilde <= res.bracket[1]
+    assert res.bracket[1] - res.bracket[0] <= 1e-6
+    assert res.kappa_lo <= k < res.kappa_hi
+    if mu_tilde is not None:
+        assert res.mu_tilde == pytest.approx(mu_tilde, rel=1e-12)
+
+
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
 def test_continuous_emergence_is_the_threshold(tol):
     # k(h-w) = 1: the core grows from nothing at density k, so the density

@@ -34,6 +34,15 @@ def test_make_threshold_table_writes_the_reference_rows(tmp_path, capsys):
     ]
 
 
+def test_make_threshold_table_leaves_an_open_mu_hat_empty(tmp_path, capsys):
+    # (2,1,1) emerges continuously: its core mean degree at mu_c is a limit
+    out = tmp_path / "table.csv"
+    assert _load("make_threshold_table").main(["--triple", "2,1,1", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["mu_tilde"], row["mu_hat"]) == ("1.0", "")
+
+
 def test_make_threshold_table_rejects_a_nonpositive_tolerance(capsys):
     with pytest.raises(SystemExit):
         _load("make_threshold_table").main(["--tol", "0"])
