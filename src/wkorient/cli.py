@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
 from .flow import CutWitness, orient
 from .hypergraph import (
@@ -455,23 +455,20 @@ def _pool_degree_histogram(records: Sequence[TrialRecord]) -> np.ndarray:
 
 def _truncated_poisson_chi2(
     counts: np.ndarray, k: int
-) -> tuple[float, float, int]:
-    """Chi-square of a degree histogram against the truncated Poisson whose
-    rate is fitted from the histogram mean (hence one extra lost dof)."""
+) -> tuple[Optional[float], Optional[float], Optional[int]]:
+    """Pearson chi-square, p-value and dof of a degree histogram against the
+    truncated Poisson fitted to its mean (one more lost dof); None below 3 cells."""
     total = int(counts.sum())
+    if total == 0 or counts.size <= k + 3:
+        return None, None, None
     degrees = np.arange(counts.size)
     mean = float((degrees * counts).sum()) / total
     lam = solve_lambda(mean, k)  # rate whose >=k+1 truncation has this mean
     dist = TruncatedPoisson(lam, k + 1)
-    top = counts.size - 1
-    expected = np.array(
-        [dist.pmf(d) * total for d in range(k + 1, top)], dtype=float
-    )
-    observed = counts[k + 1 : top].astype(float)
-    # final cell absorbs the whole upper tail
-    tail_p = 1.0 - sum(dist.pmf(d) for d in range(k + 1, top))
-    expected = np.append(expected, max(tail_p, 0.0) * total)
-    observed = np.append(observed, float(counts[top:].sum()))
+    pmf = [dist.pmf(d) for d in range(k + 1, counts.size - 1)]
+    # the final cell absorbs the whole upper tail
+    expected = np.array([*pmf, max(1.0 - sum(pmf), 0.0)]) * total
+    observed = counts[k + 1 :].astype(float)
     # merge sparse cells from the right until every expectation is >= 5
     while expected.size > 2 and expected[-1] < 5.0:
         expected[-2] += expected[-1]
@@ -481,9 +478,12 @@ def _truncated_poisson_chi2(
         expected[1] += expected[0]
         observed[1] += observed[0]
         expected, observed = expected[1:], observed[1:]
+    dof = expected.size - 2
+    if dof < 1:
+        return None, None, None
     expected *= observed.sum() / expected.sum()
-    stat, pvalue = scipy_stats.chisquare(observed, expected, ddof=1)
-    return float(stat), float(pvalue), int(expected.size - 2)
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return stat, float(special.chdtrc(dof, stat)), dof
 
 
 def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
@@ -518,11 +518,8 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
         # empty-core regime: report the absolute leftovers
         deviations = {"alpha": mean_alpha, "kappa": mean_kappa, "mu_hat": mean_mu_hat}
 
-    chi2_stat = chi2_pvalue = None
-    chi2_dof = None
     counts = _pool_degree_histogram(records)
-    if counts.sum() > 0 and counts.size > cfg.k + 3:
-        chi2_stat, chi2_pvalue, chi2_dof = _truncated_poisson_chi2(counts, cfg.k)
+    chi2_stat, chi2_pvalue, chi2_dof = _truncated_poisson_chi2(counts, cfg.k)
 
     return CoreProfileReport(
         prediction=prediction,

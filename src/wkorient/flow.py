@@ -141,22 +141,20 @@ def _residual_reachable(net: FlowNetwork, flow: csr_matrix) -> np.ndarray:
     cap - f and every positive flow opens the reverse arc (scipy stores a
     reverse entry of flow -f, so cap - flow covers both)."""
     residual = (net.capacities - flow).tocsr()
-    residual.data = (residual.data > 0).astype(np.int8)
+    # float64, which breadth_first_order would otherwise copy the data to
+    residual.data = (residual.data > 0).astype(np.float64)
     residual.eliminate_zeros()
-    return breadth_first_order(
-        residual, net.source, directed=True, return_predecessors=False
-    )
+    return breadth_first_order(residual, net.source, return_predecessors=False)
 
 
 def orient(H: Hypergraph, p: OrientationParams) -> Union[Orientation, CutWitness]:
     """Decide (w,k)-orientability; return a valid Orientation or a
     CutWitness whose induced density exceeds k (checked in exact rationals).
     """
-    H.validate_sizes(p)
+    net = build_network(H, p)  # validates the edge sizes, once per call
     degenerate = np.flatnonzero(H.distinct_sizes() < H.sign_demands(p))
     if len(degenerate):
         return CutWitness(S=(), kappa_S=None, degenerate_edge=int(degenerate[0]))
-    net = build_network(H, p)
     value, flow = max_flow(net)
     m = net.num_edges
     if value == net.total_demand:
@@ -177,11 +175,8 @@ def orient(H: Hypergraph, p: OrientationParams) -> Union[Orientation, CutWitness
     S = tuple(np.sort(reach[(reach > m) & (reach <= m + H.n)] - (m + 1)).tolist())
     kappa = w_density(w_induced_subgraph(H, S, p), p) if S else None
     witness = CutWitness(S=S, kappa_S=kappa)
-    if kappa is None or kappa <= p.k:
-        # Guaranteed impossible for vertex-distinct edges; with internal
-        # repeats the min cut can under-count density (see module docstring).
-        if H.first_of_vertex.all():  # pragma: no cover
-            raise RuntimeError(
-                f"cut witness fails to violate the density bound: {witness}"
-            )
+    # Guaranteed impossible for vertex-distinct edges; with internal repeats
+    # the min cut can under-count density (see module docstring).
+    if (kappa is None or kappa <= p.k) and H.first_of_vertex.all():  # pragma: no cover
+        raise RuntimeError(f"cut witness fails to violate the density bound: {witness}")
     return witness

@@ -182,6 +182,9 @@ class Hypergraph(_Rows):
         return Counter({s: c for s, c in enumerate(counts.tolist()) if c})
 
     def validate_sizes(self, p: OrientationParams) -> None:
+        # the rows are immutable, so a size window that passed is remembered
+        if self.__dict__.get("valid_sizes") == (p.min_edge_size, p.h):
+            return
         sizes = self.sizes
         bad = np.flatnonzero((sizes < p.min_edge_size) | (sizes > p.h))
         if len(bad):
@@ -190,6 +193,7 @@ class Hypergraph(_Rows):
             raise ValueError(
                 f"edge {e} has size {len(e)}, outside [{p.min_edge_size}, {p.h}]"
             )
+        self.__dict__["valid_sizes"] = (p.min_edge_size, p.h)
 
     def sign_demands(self, p: OrientationParams) -> np.ndarray:
         """Per-edge sign demand w - (h - size); sizes must be validated."""
@@ -223,9 +227,6 @@ class Orientation(_Rows):
     def indegrees(self, n: int) -> list[int]:
         return np.bincount(self.verts, minlength=n).tolist()
 
-    def max_indegree(self, n: int) -> int:
-        return max(self.indegrees(n), default=0)
-
 
 def w_density(H: Hypergraph, p: OrientationParams) -> Fraction:
     """kappa(H) = (sum over edges of their sign demand) / n, exactly.
@@ -242,9 +243,11 @@ def w_density(H: Hypergraph, p: OrientationParams) -> Fraction:
 def w_induced_subgraph(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> Hypergraph:
     """Subgraph w-induced by S: keep x∩S (with multiplicity) when it still
     has size >= h-w+1; vertices are relabeled to 0..|S|-1 in sorted order."""
-    Ss = np.unique(np.fromiter(S, dtype=np.int64))
+    H.validate_sizes(p)
+    Ss = np.sort(np.fromiter(S, dtype=np.int64))  # np.unique hashes ints: slower
     if len(Ss) and (Ss[0] < 0 or Ss[-1] >= H.n):
         raise ValueError("subset contains vertices outside the hypergraph")
+    Ss = Ss[np.diff(Ss, prepend=-1) > 0]
     rank = np.full(H.n, -1, dtype=np.int64)
     rank[Ss] = np.arange(len(Ss))
     inside = rank[H.verts] >= 0
@@ -252,7 +255,9 @@ def w_induced_subgraph(H: Hypergraph, S: Iterable[int], p: OrientationParams) ->
     keep = kept >= p.min_edge_size
     ptr = np.concatenate(([0], np.cumsum(kept[keep])))
     verts = rank[H.verts[inside & keep[H.row_of]]]
-    return Hypergraph(len(Ss), ptr=ptr, verts=verts)
+    sub = Hypergraph(len(Ss), ptr=ptr, verts=verts)
+    sub.__dict__["valid_sizes"] = H.valid_sizes  # edges keep h-w+1 to all their balls
+    return sub
 
 
 def verify_orientation(H: Hypergraph, o: Orientation, p: OrientationParams):

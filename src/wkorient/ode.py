@@ -492,7 +492,7 @@ def core_fixed_point(p: OrientationParams, mu_bar: float) -> CoreStats:
 class ThresholdResult:
     mu_tilde: float
     bracket: tuple[float, float]
-    kappa_lo: float
+    kappa_lo: Optional[float]
     kappa_hi: float
     iterations: int
     stats_at_threshold: Optional[CoreStats]
@@ -516,7 +516,8 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
     density there rounds to k, and the upper end moves once to 2hk/w,
     where the same argument gives at least 2k.  A core emerging
     continuously (x_c = 0) has density k at mu_c, the threshold then;
-    otherwise mu_tilde is the bracket's midpoint.
+    otherwise mu_tilde is the bracket's midpoint.  kappa_lo is None where
+    the bracket's low end is that empty core, whose density is 0/0.
 
     Raises ValueError unless 0 < tol < inf, and BracketError naming
     (h, w, k) when kappa - k does not change sign on that bracket.
@@ -549,6 +550,7 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
         iterations += 1
     mu_tilde = mu_c if x_c == 0.0 else 0.5 * (mu_lo + mu_hi)
     stats = core_fixed_point(p, mu_tilde)
+    kappa_lo = None if x_lo == 0.0 else kappa_lo
     return ThresholdResult(mu_tilde, (mu_lo, mu_hi), kappa_lo, kappa_hi, iterations, stats)
 
 

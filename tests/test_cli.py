@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
-from wkorient.cli import ExperimentConfig, main, simulate_threshold
+import wkorient
+from wkorient.cli import ExperimentConfig, _truncated_poisson_chi2, main, simulate_threshold
 from wkorient.flow import orient
 from wkorient.hypergraph import (
     Hypergraph,
@@ -18,6 +25,7 @@ from wkorient.hypergraph import (
 )
 from wkorient.models import RngSeed, sample_uniform_simple
 from wkorient.ode import BracketError, DomainError, ThresholdResult
+from wkorient.poisson import TruncatedPoisson, solve_lambda
 
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n0 2\n"
 DOUBLE_ABC_TEXT = "3 2\n0 1 2\n0 1 2\n"
@@ -218,18 +226,19 @@ def test_threshold_of_the_graph_case(capsys):
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["mu_tilde"] == 1.0
-    assert payload["kappa_lo"] <= 1 < payload["kappa_hi"]
+    assert 1 < payload["kappa_hi"]
 
 
 @pytest.mark.parametrize("h, w", [(2, 1), (3, 2)])
 def test_threshold_at_a_continuous_emergence_leaves_mu_hat_open(capsys, h, w):
-    # k(h-w) = 1: the core at mu_c = 1/(h-1) is empty and its mean degree is
-    # only a limit from above, so no number stands for it
+    # k(h-w) = 1: the core at mu_c = 1/(h-1) is empty and its mean degree and
+    # density are only limits from above, so no number stands for them
     argv = ["threshold", "--h", str(h), "--w", str(w), "--k", "1"]
     assert main([*argv, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["mu_tilde"] == pytest.approx(1.0 / (h - 1), abs=1e-12)
     assert payload["mu_hat"] is None
+    assert payload["kappa_lo"] is None
     assert payload["stats_at_threshold"] is None
     assert main(argv) == 0
     header, row = capsys.readouterr().out.strip().split("\n")
@@ -296,6 +305,60 @@ def test_core_profile_csv_rows(capsys):
     pred = dict(zip(header, lines[1].split(",")))
     mean = dict(zip(header, lines[2].split(",")))
     assert float(mean["alpha"]) == pytest.approx(float(pred["alpha"]), rel=0.1)
+
+
+def _scipy_chisquare_cells(counts, k):
+    """The core-profile chi-square as scipy.stats.chisquare computes it on
+    the same cells: the rate fitted from the mean, the last cell absorbing
+    the upper tail, sparse cells merged from the right and then the left."""
+    total = int(counts.sum())
+    mean = float((np.arange(counts.size) * counts).sum()) / total
+    dist = TruncatedPoisson(solve_lambda(mean, k), k + 1)
+    top = counts.size - 1
+    expected = [dist.pmf(d) * total for d in range(k + 1, top)]
+    tail_p = 1.0 - sum(dist.pmf(d) for d in range(k + 1, top))
+    expected = np.array([*expected, max(tail_p, 0.0) * total])
+    observed = np.append(counts[k + 1 : top], counts[top]).astype(float)
+    while expected.size > 2 and expected[-1] < 5.0:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    while expected.size > 2 and expected[0] < 5.0:
+        expected[1] += expected[0]
+        observed[1] += observed[0]
+        expected, observed = expected[1:], observed[1:]
+    expected *= observed.sum() / expected.sum()
+    res = scipy_stats.chisquare(observed, expected, ddof=1)
+    return float(res.statistic), float(res.pvalue), expected.size - 2
+
+
+def test_core_profile_chi2_matches_scipy_chisquare_bit_for_bit():
+    # core-like degree histograms, from 20 to 4000 vertices: cells merge at
+    # both ends, and every one keeps at least one degree of freedom
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 8))
+        degrees = rng.poisson(rng.uniform(k + 0.5, k + 8.0), int(rng.integers(20, 4000)))
+        counts = np.bincount(degrees[degrees > k])
+        assert _truncated_poisson_chi2(counts, k) == _scipy_chisquare_cells(counts, k)
+
+
+def test_core_profile_chi2_without_degrees_of_freedom_is_undetermined():
+    # the cells merge down to two, leaving dof = 0: no p-value exists
+    counts = np.array([0, 0, 0, 0, 0, 50, 5, 1, 1])
+    assert _truncated_poisson_chi2(counts, 4) == (None, None, None)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone would add about two thirds to the package's start-up
+    code = ("import sys; import wkorient.cli, wkorient.ode, wkorient.flow, "
+            "wkorient.peeling, wkorient.models; "
+            "print('scipy.stats' in sys.modules)")
+    src = str(Path(wkorient.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_identical_seeds_are_worker_count_invariant(tmp_path, monkeypatch):

@@ -359,7 +359,7 @@ def test_continuous_emergence_is_the_threshold(tol):
         assert res.mu_tilde == pytest.approx(1.0 / (h - 1), abs=1e-12)
         assert res.bracket[0] <= res.mu_tilde <= res.bracket[1]
         assert res.bracket[1] - res.bracket[0] <= tol
-        assert res.kappa_lo <= k < res.kappa_hi
+        assert res.kappa_lo is None and k < res.kappa_hi
         assert res.stats_at_threshold.empty
 
 
