@@ -18,6 +18,11 @@ from wkorient.hypergraph import OrientationParams
 from wkorient.ode import core_emergence
 
 
+def _cell(value, digits: int) -> str:
+    """A CSV cell; an undefined value (the density of an empty core) is blank."""
+    return "" if value is None else f"{value:.{digits}f}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--h", type=int, default=3)
@@ -49,16 +54,17 @@ def main(argv=None) -> int:
             )
             rep = core_profile(cfg)
             pred = rep.prediction
-            a_p, k_p, m_p = pred.alpha, pred.kappa, pred.mu_hat
+            a_p = pred.alpha
+            k_p, m_p = (None, None) if pred.empty else (pred.kappa, pred.mu_hat)
             writer.writerow([
                 f"{mu_bar:.4f}", f"{a_p:.6f}", f"{rep.mean_alpha:.6f}",
-                f"{k_p:.6f}", f"{rep.mean_kappa:.6f}",
-                f"{m_p:.6f}", f"{rep.mean_mu_hat:.6f}",
-                "" if rep.chi2_pvalue is None else f"{rep.chi2_pvalue:.4f}",
+                _cell(k_p, 6), _cell(rep.mean_kappa, 6),
+                _cell(m_p, 6), _cell(rep.mean_mu_hat, 6),
+                _cell(rep.chi2_pvalue, 4),
             ])
             print(
                 f"mu_bar={mu_bar:.3f} alpha {a_p:.4f}/{rep.mean_alpha:.4f} "
-                f"kappa {k_p:.4f}/{rep.mean_kappa:.4f}",
+                f"kappa {_cell(k_p, 4)}/{_cell(rep.mean_kappa, 4)}",
                 file=sys.stderr,
             )
     print(f"wrote {args.out}", file=sys.stderr)

@@ -52,7 +52,7 @@ from .ode import (
     integrate,
 )
 from .peeling import core_statistics, rancore
-from .poisson import TruncatedPoisson, solve_lambda
+from .poisson import solve_lambda, truncated_poisson_pmf
 
 __all__ = [
     "ExperimentConfig",
@@ -122,15 +122,15 @@ class TrialRecord:
     (wall seconds per stage: sample, peel, stats, orient) stay out of the
     persisted tables so equal seeds give equal bytes; ``degree_counts``
     (core degree histogram, index = degree) is an aggregation aid and stays
-    out of them too."""
+    out of them too.  An empty core has no density or mean degree (None)."""
 
     mu_bar: float
     trial: int
     stream: int
     n_core: int
     m_core: dict
-    kappa: float
-    mu_hat: float
+    kappa: Optional[float]
+    mu_hat: Optional[float]
     orientable: Optional[bool]
     seconds: float
     degree_counts: tuple = ()
@@ -173,8 +173,8 @@ def run_trial(cfg: ExperimentConfig, trial: int, stream: int) -> TrialRecord:
         trial=trial,
         stream=stream,
         n_core=st.n_core,
-        m_core=dict(st.m_vec.counts),
-        kappa=float(st.kappa),
+        m_core=st.m_core,
+        kappa=None if st.kappa is None else float(st.kappa),
         mu_hat=st.mu_hat,
         orientable=orientable,
         seconds=mark - t0,
@@ -185,9 +185,11 @@ def run_trial(cfg: ExperimentConfig, trial: int, stream: int) -> TrialRecord:
 
 def _worker_count() -> int:
     env = os.environ.get("WKORIENT_WORKERS", "")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.strip().isdecimal() and int(env) >= 1):
+        raise ValueError(f"WKORIENT_WORKERS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _run_batch(cfg: ExperimentConfig, stream_base: int) -> list[TrialRecord]:
@@ -201,9 +203,10 @@ def _run_batch(cfg: ExperimentConfig, stream_base: int) -> list[TrialRecord]:
             records = list(pool.map(_run_trial_star, jobs))
     for r in records:
         stages = ", ".join(f"{k} {v:.2f}" for k, v in r.timings.items())
+        kappa = "undefined" if r.kappa is None else f"{r.kappa:.5f}"
         print(
             f"  trial {r.trial} (stream {r.stream}): core {r.n_core}, "
-            f"kappa {r.kappa:.5f}, orientable {r.orientable}, {r.seconds:.1f}s "
+            f"kappa {kappa}, orientable {r.orientable}, {r.seconds:.1f}s "
             f"({stages})",
             file=sys.stderr,
         )
@@ -313,12 +316,14 @@ def _record_row(r: TrialRecord, sizes: Sequence[int]) -> dict:
 
 
 def _stats_dict(stats: CoreStats) -> dict:
+    """A predicted core for output; an empty one has no density or mean
+    degree (None)."""
     return {
         "x_star": stats.x_star,
         "alpha": stats.alpha,
         "beta": {str(s): b for s, b in sorted(stats.beta.items())},
-        "kappa": stats.kappa,
-        "mu_hat": stats.mu_hat,
+        "kappa": None if stats.empty else stats.kappa,
+        "mu_hat": None if stats.empty else stats.mu_hat,
         "terminated_by": stats.terminated_by,
     }
 
@@ -433,8 +438,8 @@ class CoreProfileReport:
     records: list
     mean_alpha: float
     mean_beta: dict
-    mean_kappa: float
-    mean_mu_hat: float
+    mean_kappa: Optional[float]  # None when no trial has a core
+    mean_mu_hat: Optional[float]
     deviations: dict  # variable -> relative deviation of the trial mean
     chi2_stat: Optional[float]
     chi2_pvalue: Optional[float]
@@ -464,8 +469,7 @@ def _truncated_poisson_chi2(
     degrees = np.arange(counts.size)
     mean = float((degrees * counts).sum()) / total
     lam = solve_lambda(mean, k)  # rate whose >=k+1 truncation has this mean
-    dist = TruncatedPoisson(lam, k + 1)
-    pmf = [dist.pmf(d) for d in range(k + 1, counts.size - 1)]
+    pmf = [truncated_poisson_pmf(d, lam, k + 1) for d in range(k + 1, counts.size - 1)]
     # the final cell absorbs the whole upper tail
     expected = np.array([*pmf, max(1.0 - sum(pmf), 0.0)]) * total
     observed = counts[k + 1 :].astype(float)
@@ -500,11 +504,11 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
         for s in sizes
     }
     nonempty = [r for r in records if r.n_core > 0]
-    mean_kappa = float(np.mean([r.kappa for r in nonempty])) if nonempty else 0.0
-    mean_mu_hat = float(np.mean([r.mu_hat for r in nonempty])) if nonempty else 0.0
+    mean_kappa = float(np.mean([r.kappa for r in nonempty])) if nonempty else None
+    mean_mu_hat = float(np.mean([r.mu_hat for r in nonempty])) if nonempty else None
 
-    def rel(emp: float, ref: float) -> float:
-        return abs(emp - ref) / max(abs(ref), 1e-12)
+    def rel(emp: Optional[float], ref: float) -> Optional[float]:
+        return None if emp is None else abs(emp - ref) / max(abs(ref), 1e-12)
 
     if not prediction.empty:
         deviations = {
@@ -582,6 +586,8 @@ def table1_rows(tol: float = 1e-4) -> list[dict]:
 
 
 def _cmd_gen(args) -> int:
+    if args.h < 1:  # checked here too, since m = mu·n/h divides by it
+        raise ValueError(f"edge size must be at least 1, got h={args.h}")
     if args.m is None and not 0 <= args.mu < math.inf:
         raise DomainError(f"mu must be nonnegative and finite, got {args.mu}")
     m = args.m if args.m is not None else round(args.mu * args.n / args.h)
@@ -600,7 +606,7 @@ def _cmd_core(args) -> int:
     with _open_out(args.out) as out:
         out.write(
             f"# core of h={args.h} w={args.w} k={args.k}: "
-            f"n_core={st.n_core} kappa={st.kappa} mu_hat={_fmt(st.mu_hat)}\n"
+            f"n_core={st.n_core} kappa={_fmt(st.kappa)} mu_hat={_fmt(st.mu_hat)}\n"
         )
         out.write("# vertices relabeled 0..n_core-1 in original order: ")
         out.write(" ".join(str(v) for v in pr.core_vertices) + "\n")
@@ -657,16 +663,6 @@ def _cmd_stats(args) -> int:
     return _emit(args, "stats", payload, rows=[row])
 
 
-def _warn_no_core_ending(p: OrientationParams, mu_bar: float, ending: str) -> None:
-    """The ODE reads a core off the z_L ending only; for any other ending
-    say so on stderr, with the fixed point's answer beside it."""
-    alpha = core_fixed_point(p, mu_bar).alpha
-    print(
-        f"wkorient: warning: {ending}; the core fixed point gives alpha={alpha:.9g}",
-        file=sys.stderr,
-    )
-
-
 def _cmd_ode(args) -> int:
     p = _params(args)
     kwargs = {}
@@ -674,32 +670,39 @@ def _cmd_ode(args) -> int:
         kwargs = {"rtol": args.tol, "atol": args.tol * 1e-2}
     params = OdeParams(p, args.mu, **kwargs)
     payload = {"h": p.h, "w": p.w, "k": p.k, "mu_bar": args.mu}
+    traj = stats = reason = None
     try:
         traj, stats = integrate(params)
     except InitialStateError as exc:
-        # start outside the domain: an honest empty-core report
-        _warn_no_core_ending(p, args.mu, f"integration did not start ({exc})")
-        traj = None
-        payload.update(stats=None, reason=str(exc))
+        reason, event = str(exc), f"integration did not start ({exc})"
     else:
         if stats.terminated_by != "z_L":
-            _warn_no_core_ending(
-                p, args.mu, f"integration ended at {stats.terminated_by}, not z_L"
-            )
+            reason = event = f"integration ended at {stats.terminated_by}, not z_L"
+    if reason is None:
         payload["stats"] = _stats_dict(stats)
+    else:
+        # the ODE reads a core off the z_L ending only: report none, not
+        # zeros, and give the fixed point's answer on stderr
+        alpha = core_fixed_point(p, args.mu).alpha
+        print(
+            f"wkorient: warning: {event}; the core fixed point gives alpha={alpha:.9g}",
+            file=sys.stderr,
+        )
+        payload.update(stats=None, reason=reason)
     if args.format == "json":
         return _emit(args, "ode", payload)
     if traj is None:
-        _write_text(args.out, f"# empty core: {payload['reason']}\n")
+        _write_text(args.out, f"# empty core: {reason}\n")
         return 0
     with _open_out(args.out) as fh:
         traj.to_csv(fh)
-    print(
-        f"x*={stats.x_star:.9g} alpha={stats.alpha:.9g} "
-        f"kappa={stats.kappa:.9g} mu_hat={stats.mu_hat:.9g} "
-        f"terminated_by={stats.terminated_by}",
-        file=sys.stderr,
-    )
+    if reason is None:
+        print(
+            f"x*={stats.x_star:.9g} alpha={stats.alpha:.9g} "
+            f"kappa={stats.kappa:.9g} mu_hat={stats.mu_hat:.9g} "
+            f"terminated_by={stats.terminated_by}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -770,9 +773,10 @@ def _cmd_core_profile(args) -> int:
     cfg = _config(args, args.mu[0])
     report = core_profile(cfg)
     pred = report.prediction
+    predicted = _stats_dict(pred)
     payload = {
         "config": dataclasses.asdict(cfg),
-        "prediction": _stats_dict(pred),
+        "prediction": predicted,
         "mean_alpha": report.mean_alpha,
         "mean_beta": {str(s): b for s, b in report.mean_beta.items()},
         "mean_kappa": report.mean_kappa,
@@ -792,7 +796,7 @@ def _cmd_core_profile(args) -> int:
                 "kappa": kappa, "mu_hat": mu_hat, "chi2_pvalue": chi2_pvalue}
 
     rows = [
-        row("prediction", pred.alpha, pred.beta, pred.kappa, pred.mu_hat),
+        row("prediction", pred.alpha, pred.beta, predicted["kappa"], predicted["mu_hat"]),
         row("trial-mean", report.mean_alpha, report.mean_beta, report.mean_kappa,
             report.mean_mu_hat, report.chi2_pvalue),
     ]

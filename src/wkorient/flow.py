@@ -68,12 +68,6 @@ class FlowNetwork:
     def sink(self) -> int:
         return self.num_edges + self.num_vertices + 1
 
-    def edge_node(self, i: int) -> int:
-        return 1 + i
-
-    def vertex_node(self, v: int) -> int:
-        return 1 + self.num_edges + v
-
     @property
     def num_arcs(self) -> int:
         return self.capacities.nnz

@@ -173,9 +173,6 @@ class Hypergraph(_Rows):
     def degrees(self) -> list[int]:
         return np.bincount(self.verts, minlength=self.n).tolist()
 
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.verts == v))
-
     def edge_size_counts(self) -> Counter:
         """Histogram {size: count} over edges."""
         counts = np.bincount(self.sizes)
@@ -223,9 +220,6 @@ class Orientation(_Rows):
         super().__init__(signs, ptr, verts)
 
     signs = cached_property(_Rows._rows_view)
-
-    def indegrees(self, n: int) -> list[int]:
-        return np.bincount(self.verts, minlength=n).tolist()
 
 
 def w_density(H: Hypergraph, p: OrientationParams) -> Fraction:

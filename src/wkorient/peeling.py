@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .hypergraph import (
     verify_orientation,
     w_density,
 )
-from .models import EdgeCountVector
 
 __all__ = [
     "PeelResult",
@@ -95,15 +94,6 @@ class ProcessTrace:
             out[f"z_L_{s}"] = zl
             out[f"z_H_{s}"] = zb - zl
         return out
-
-    def to_csv(self, fh: TextIO) -> None:
-        cols = ["x", "z_L", "z_B", "z_HV"]
-        cols += [f"z_L_{s}" for s in self.sizes]
-        cols += [f"z_H_{s}" for s in self.sizes]
-        data = self.scaled()
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(self.steps)):
-            fh.write(",".join(f"{data[c][i]:.10g}" for c in cols) + "\n")
 
 
 def _groups(keys: np.ndarray, values: np.ndarray, count: int) -> list[tuple[int, ...]]:
@@ -451,26 +441,24 @@ def extend_orientation(
 
 @dataclass(frozen=True)
 class CoreStatistics:
-    n_core: int
-    m_vec: EdgeCountVector
-    kappa: Fraction
-    mu_hat: float
+    """Vertex count, edge counts by size (size -> count, zero counts
+    absent), w-density and mean degree of a core; the density and mean
+    degree of an empty core are undefined (None)."""
 
-    @property
-    def empty(self) -> bool:
-        return self.n_core == 0
+    n_core: int
+    m_core: dict[int, int]
+    kappa: Optional[Fraction]
+    mu_hat: Optional[float]
 
 
 def core_statistics(pr: PeelResult, p: OrientationParams) -> CoreStatistics:
-    """Vertex count, per-size edge counts, w-density and mean degree of the
-    core; all zeros when the core is empty."""
+    """Statistics of the core of a peel."""
     core = pr.core
     if core.n == 0:
-        return CoreStatistics(0, EdgeCountVector({}), Fraction(0), 0.0)
-    m_vec = EdgeCountVector(core.edge_size_counts())
+        return CoreStatistics(0, {}, None, None)
     return CoreStatistics(
         n_core=core.n,
-        m_vec=m_vec,
+        m_core=dict(core.edge_size_counts()),
         kappa=w_density(core, p),
         mu_hat=core.total_degree / core.n,
     )

@@ -1,6 +1,6 @@
 """Truncated-Poisson analytics.
 
-Everything downstream (degree samplers, the peeling ODE) reduces to three
+Everything downstream (the peeling ODE, the core degree check) reduces to three
 ingredients computed here: the Poisson upper tail, the mean of a truncated
 Poisson, and the inverse map from a target mean back to the rate. The mean
 of Poisson(y) conditioned on being >= k has the closed form
@@ -14,9 +14,7 @@ series.  We lean on that form whenever the raw tails would underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
 from scipy import special
 
 __all__ = [
@@ -25,7 +23,7 @@ __all__ = [
     "log_poisson_tail",
     "solve_lambda",
     "truncated_mean_from_rate",
-    "TruncatedPoisson",
+    "truncated_poisson_pmf",
     "heavy_bucket_fraction",
     "initial_conditions",
 ]
@@ -172,55 +170,14 @@ def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:
     return y
 
 
-@dataclass(frozen=True)
-class TruncatedPoisson:
-    """Poisson(lam) conditioned on being >= k (ordinary Poisson for k <= 0)."""
-
-    lam: float
-    k: int
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"rate must be positive, got {self.lam}")
-
-    def _log_norm(self) -> float:
-        return log_poisson_tail(self.k, self.lam)
-
-    def pmf(self, j: int) -> float:
-        if j < max(self.k, 0):
-            return 0.0
-        return math.exp(_log_pmf(j, self.lam) - self._log_norm())
-
-    def mean(self) -> float:
-        return truncated_mean_from_rate(self.lam, self.k)
-
-    def _cdf_table(self, tail_eps: float = 1e-15) -> np.ndarray:
-        """Cumulative pmf from the truncation point until mass 1 - tail_eps."""
-        start = max(self.k, 0)
-        p = self.pmf(start)
-        out = [p]
-        j = start
-        acc = p
-        while acc < 1.0 - tail_eps:
-            j += 1
-            p *= self.lam / j
-            acc += p
-            out.append(acc)
-            if j > start + 100000:  # pragma: no cover - defensive
-                raise RuntimeError("cdf table failed to accumulate")
-        return np.asarray(out)
-
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inversion sampling with a tail guard.
-
-        Draws land in the precomputed cdf table; the residual tail mass
-        (< 1e-15) is clamped to the last table entry.
-        """
-        cdf = self._cdf_table()
-        u = rng.random(size)
-        idx = np.searchsorted(cdf, u, side="right")
-        idx = np.minimum(idx, len(cdf) - 1)  # tail guard
-        return idx + max(self.k, 0)
+def truncated_poisson_pmf(j: int, lam: float, kk: int) -> float:
+    """P(X = j) for X ~ Poisson(lam) conditioned on X >= kk (the plain
+    Poisson pmf for kk <= 0)."""
+    if lam <= 0:
+        raise ValueError(f"rate must be positive, got {lam}")
+    if j < kk:
+        return 0.0
+    return math.exp(_log_pmf(j, lam) - log_poisson_tail(kk, lam))
 
 
 def heavy_bucket_fraction(lam: float, k: int) -> float:
@@ -230,9 +187,7 @@ def heavy_bucket_fraction(lam: float, k: int) -> float:
 
     i.e. the pmf of the >=(k+1)-truncated Poisson at its lowest point.
     """
-    if lam <= 0:
-        raise ValueError(f"rate must be positive, got {lam}")
-    return math.exp(_log_pmf(k + 1, lam) - log_poisson_tail(k + 1, lam))
+    return truncated_poisson_pmf(k + 1, lam, k + 1)
 
 
 def initial_conditions(mu_bar: float, k: int) -> tuple[float, float, float, float]:

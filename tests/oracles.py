@@ -2,9 +2,11 @@
 
 Everything here is deliberately written in the most direct style possible
 (exhaustive enumeration, plain BFS augmenting paths, mpmath series, tuple
-loops) so that agreement with the package is meaningful.  The one
-exception is `min_max_indegree`, a binary search that calls the package's
-flow decider; it lives here because only tests use it.
+loops) so that agreement with the package is meaningful.  Two entries
+are not references but live here because only tests use them:
+`min_max_indegree`, a binary search that calls the package's flow decider,
+and `sample_uniform_simple`, which draws the simple instances the
+exhaustive deciders are checked on.
 """
 
 from __future__ import annotations
@@ -23,7 +25,44 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from wkorient.flow import orient
-from wkorient.hypergraph import Orientation, OrientationParams
+from wkorient.hypergraph import Hypergraph, Orientation, OrientationParams
+
+
+# ---------------------------------------------------------------------------
+# simple random instances (test input for the exhaustive deciders)
+# ---------------------------------------------------------------------------
+
+def sample_uniform_simple(
+    n: int, m: int, h: int, rng: np.random.Generator, max_attempts: int | None = None
+) -> Hypergraph:
+    """Uniform simple h-hypergraph: distinct vertices within each edge, no
+    repeated edge.
+
+    Sequential per-edge redraws: edge i is uniform over the admissible
+    values given edges 0..i-1, which makes every ordered outcome equally
+    likely — the same law as rejecting whole multigraph samples, at far
+    higher acceptance.
+    """
+    if m > math.comb(n, h):
+        raise ValueError(f"cannot fit {m} distinct edges of size {h} on {n} vertices")
+    if max_attempts is None:
+        max_attempts = 200 * (m + 1)
+    seen: set[tuple[int, ...]] = set()
+    edges: list[tuple[int, ...]] = []
+    attempts = 0
+    while len(edges) < m:
+        attempts += 1
+        if attempts > max_attempts:
+            raise RuntimeError(
+                f"simple sampler exhausted {max_attempts} attempts "
+                f"({len(edges)}/{m} edges placed)"
+            )
+        e = tuple(sorted(int(v) for v in rng.integers(0, n, size=h)))
+        if len(set(e)) != h or e in seen:
+            continue
+        seen.add(e)
+        edges.append(e)
+    return Hypergraph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -587,109 +626,6 @@ def solve_lambda_mp(mu, k: int, dps: int = 60):
             else:
                 hi = mid
         return (lo + hi) / 2
-
-
-# ---------------------------------------------------------------------------
-# truncated multinomial Multi(n, D, k+1): exact enumeration (tiny cases)
-# ---------------------------------------------------------------------------
-
-def truncated_multinomial_enum(n: int, D: int, kplus1: int):
-    """Exact pmf over degree vectors with min >= kplus1 and sum D.
-
-    P(d) is proportional to the multinomial coefficient D!/prod(d_i!).
-    Returns {tuple(d): Fraction probability}.
-    """
-    weights = {}
-    def rec(i, left, prefix):
-        if i == n - 1:
-            if left >= kplus1:
-                d = prefix + (left,)
-                wgt = Fraction(1)
-                for di in d:
-                    wgt /= math_factorial(di)
-                weights[d] = wgt
-            return
-        for di in range(kplus1, left - kplus1 * (n - 1 - i) + 1):
-            rec(i + 1, left - di, prefix + (di,))
-    rec(0, D, ())
-    total = sum(weights.values())
-    return {d: wgt / total for d, wgt in weights.items()}
-
-
-def math_factorial(x: int):
-    out = 1
-    for i in range(2, x + 1):
-        out *= i
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exact outcome distribution of the core model (tiny cases only)
-# ---------------------------------------------------------------------------
-
-def _pairings(items):
-    """All partitions of items into unordered groups of the given chunk size
-    are produced by group_partitions; this helper does size-2 for clarity."""
-    return group_partitions(items, 2)
-
-
-def group_partitions(items, size):
-    """All ways to split `items` (a list) into unordered groups of `size`."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for rest in itertools.combinations(items[1:], size - 1):
-        group = (first,) + rest
-        remaining = [x for x in items[1:] if x not in rest]
-        for tail in group_partitions(remaining, size):
-            yield [group] + tail
-
-
-def core_model_enum(n: int, m_by_size: dict, kplus1: int):
-    """Exact distribution over labeled multihypergraphs from the
-    allocate-then-colour-then-partition construction.
-
-    m_by_size: {edge size: edge count}.  Returns {canonical hypergraph:
-    Fraction probability} where the canonical form is a sorted tuple of
-    sorted vertex tuples.
-    """
-    D = sum(s * m for s, m in m_by_size.items())
-    degs = truncated_multinomial_enum(n, D, kplus1)
-    outcome: dict = {}
-    for d, p_d in degs.items():
-        balls = []  # ball id -> owning bin
-        for v, dv in enumerate(d):
-            balls.extend([v] * dv)
-        ball_ids = list(range(D))
-        sizes = sorted(m_by_size)
-        # choose which ball ids get each colour, then partition each class
-        def colourings(remaining, si):
-            if si == len(sizes):
-                yield []
-                return
-            s = sizes[si]
-            cnt = s * m_by_size[s]
-            for chosen in itertools.combinations(remaining, cnt):
-                rest = [b for b in remaining if b not in set(chosen)]
-                for tail in colourings(rest, si + 1):
-                    yield [(s, chosen)] + tail
-        cases = []
-        for col in colourings(ball_ids, 0):
-            per_colour = []
-            for s, chosen in col:
-                per_colour.append(list(group_partitions(list(chosen), s)))
-            for combo in itertools.product(*per_colour):
-                edges = []
-                for groups in combo:
-                    for g in groups:
-                        edges.append(tuple(sorted(balls[b] for b in g)))
-                cases.append(tuple(sorted(edges)))
-        share = p_d / len(cases)
-        for hg in cases:
-            outcome[hg] = outcome.get(hg, Fraction(0)) + share
-    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from oracles import (
     expansion_condition,
     hakimi_check,
     orientation_search,
+    sample_uniform_simple,
 )
 from wkorient.cli import (
     ExperimentConfig,
@@ -34,7 +35,7 @@ from wkorient.hypergraph import (
     OrientationParams,
     verify_orientation,
 )
-from wkorient.models import RngSeed, sample_uniform_multi, sample_uniform_simple
+from wkorient.models import RngSeed, sample_uniform_multi
 from wkorient.ode import OdeParams, find_threshold, integrate
 from wkorient.peeling import ExtensionConflictError, extend_orientation, rancore
 from wkorient.poisson import (

@@ -23,9 +23,10 @@ from wkorient.hypergraph import (
     read_hypergraph,
     write_hypergraph,
 )
-from wkorient.models import RngSeed, sample_uniform_simple
+from oracles import sample_uniform_simple
+from wkorient.models import RngSeed
 from wkorient.ode import BracketError, DomainError, ThresholdResult
-from wkorient.poisson import TruncatedPoisson, solve_lambda
+from wkorient.poisson import solve_lambda, truncated_poisson_pmf
 
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n0 2\n"
 DOUBLE_ABC_TEXT = "3 2\n0 1 2\n0 1 2\n"
@@ -260,6 +261,34 @@ def test_simulate_single_point(capsys):
     assert all(r["orientable"] for r in payload["records"])
 
 
+def test_empty_cores_report_no_density(tmp_path, capsys, monkeypatch):
+    # below core emergence every sampled core is empty: its density and
+    # mean degree are undefined, not 0.0
+    monkeypatch.setenv("WKORIENT_WORKERS", "1")
+    low = [*HWK, "--n", "2000", "--mu", "3.0", "--trials", "2", "--seed", "1"]
+    assert main(["simulate", *low, "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["n_core"], r["kappa"], r["mu_hat"]) for r in records] == [(0, None, None)] * 2
+
+    assert main(["core-profile", *low, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mean_alpha"] == 0.0
+    assert (payload["mean_kappa"], payload["mean_mu_hat"]) == (None, None)
+    assert (payload["deviations"]["kappa"], payload["deviations"]["mu_hat"]) == (None, None)
+    assert payload["prediction"]["alpha"] == 0.0
+    assert (payload["prediction"]["kappa"], payload["prediction"]["mu_hat"]) == (None, None)
+
+    assert main(["core-profile", *low]) == 0
+    header, *rows = capsys.readouterr().out.strip().split("\n")
+    for line in rows:
+        row = dict(zip(header.split(","), line.split(",")))
+        assert (row["kappa"], row["mu_hat"]) == ("", ""), row["kind"]
+
+    path = _write(tmp_path, "edge.hg", "3 1\n0 1 2\n")
+    assert main(["core", path, *HWK]) == 0
+    assert capsys.readouterr().out.startswith("# core of h=3 w=2 k=4: n_core=0 kappa= mu_hat=\n")
+
+
 def test_simulate_explicit_bracket(capsys):
     code = main(
         ["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "400",
@@ -313,10 +342,10 @@ def _scipy_chisquare_cells(counts, k):
     the upper tail, sparse cells merged from the right and then the left."""
     total = int(counts.sum())
     mean = float((np.arange(counts.size) * counts).sum()) / total
-    dist = TruncatedPoisson(solve_lambda(mean, k), k + 1)
+    lam = solve_lambda(mean, k)
     top = counts.size - 1
-    expected = [dist.pmf(d) * total for d in range(k + 1, top)]
-    tail_p = 1.0 - sum(dist.pmf(d) for d in range(k + 1, top))
+    expected = [truncated_poisson_pmf(d, lam, k + 1) * total for d in range(k + 1, top)]
+    tail_p = 1.0 - sum(truncated_poisson_pmf(d, lam, k + 1) for d in range(k + 1, top))
     expected = np.array([*expected, max(tail_p, 0.0) * total])
     observed = np.append(counts[k + 1 : top], counts[top]).astype(float)
     while expected.size > 2 and expected[-1] < 5.0:
@@ -361,6 +390,18 @@ def test_package_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_every_export_resolves():
+    # a name left in __all__ after its definition went would break
+    # `from wkorient.<module> import *`
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(wkorient.__path__):
+        module = importlib.import_module(f"wkorient.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
+
+
 def test_identical_seeds_are_worker_count_invariant(tmp_path, monkeypatch):
     args = ["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "500",
             "--mu", "5.3", "--trials", "4", "--seed", "9", "--format", "json"]
@@ -373,20 +414,30 @@ def test_identical_seeds_are_worker_count_invariant(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
-def test_ode_warns_when_no_core_ending(capsys):
-    # (3,1,1) at 2.75 leaves the ODE's domain before z_L; the report on
-    # stdout still says what the integrator did, stderr flags it
+def test_ode_warns_when_no_core_ending(tmp_path, capsys):
+    # (3,1,1) at 2.75 leaves the ODE's domain before z_L: no core is read
+    # off that ending, so the report names the event instead of printing
+    # zeros, and stderr gives the fixed point's answer
     code = main(["ode", "--h", "3", "--w", "1", "--k", "1", "--mu", "2.75",
                  "--format", "json"])
     assert code == 0
     captured = capsys.readouterr()
-    stats = json.loads(captured.out)["stats"]
-    assert stats["terminated_by"] == "mu_floor" and stats["alpha"] == 0.0
+    payload = json.loads(captured.out)
+    assert payload["stats"] is None
+    assert "mu_floor" in payload["reason"]
     warnings = [ln for ln in captured.err.splitlines() if "warning" in ln]
     assert len(warnings) == 1
     assert "mu_floor" in warnings[0]
     alpha = float(warnings[0].rsplit("alpha=", 1)[1])
     assert alpha == pytest.approx(0.631, abs=0.001)
+
+    # the CSV path still writes the trajectory, and stderr carries no zero
+    code = main(["ode", "--h", "3", "--w", "1", "--k", "1", "--mu", "2.75",
+                 "--out", str(tmp_path / "traj.csv")])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "mu_floor" in err and err.count("alpha=") == 1  # the fixed point's only
+    assert (tmp_path / "traj.csv").read_text().startswith("x,z_L,z_B,z_HV")
 
     # a clean z_L ending prints no warning
     assert main(["ode", "--h", "3", "--w", "2", "--k", "4", "--mu", "5.0",
@@ -413,11 +464,23 @@ SIM = ["simulate", *HWK, "--n", "200", "--trials", "1"]
         ([*SIM, "--mu", "5", "--mu", "inf"], "inf"),
         (["gen", "--h", "3", "--n", "10", "--mu", "inf"], "inf"),
         (["gen", "--h", "3", "--n", "10", "--mu", "nan"], "nan"),
+        (["gen", "--h", "0", "--n", "10", "--mu", "5"], "h=0"),
+        (["gen", "--h", "3", "--n", "10", "--m", "-1"], "m=-1"),
+        (["gen", "--h", "-2", "--n", "10", "--m", "3"], "h=-2"),
+        (["gen", "--h", "3", "--n", "10", "--m", "3", "--seed", "-1"], "seed=-1"),
+        (["WKORIENT_WORKERS=abc", *SIM, "--mu", "5"], "'abc'"),
+        (["WKORIENT_WORKERS=0", *SIM, "--mu", "5"], "'0'"),
     ],
 )
-def test_bad_tolerances_and_mean_degrees_exit_1(argv, bad, capsys):
-    # a tolerance that keeps bisection from running, or a mean degree
-    # outside (0, inf), is an error naming the value, not a silent answer
+def test_bad_tolerances_and_mean_degrees_exit_1(argv, bad, capsys, monkeypatch):
+    # a tolerance that keeps bisection from running, a mean degree outside
+    # (0, inf), or any other bad value from outside the program (sizes,
+    # seeds, leading NAME=value environment settings as in a shell) is an
+    # error naming the value, not a silent answer or a traceback
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -61,8 +61,7 @@ def test_network_layout():
     p = OrientationParams(3, 2, 2)
     net = build_network(Hypergraph(3, [(0, 1, 2)]), p)
     assert (net.source, net.sink) == (0, 5)
-    assert net.edge_node(0) == 1
-    assert net.vertex_node(2) == 4
+    # edge i is node 1 + i, vertex v is node 1 + m + v
     assert net.total_demand == 2
     caps = net.capacities.toarray()
     assert caps[0, 1] == 2  # source feeds the edge its sign demand

@@ -1,4 +1,6 @@
-"""Random instance samplers: forced cases, exact marginals, reproducibility."""
+"""The uniform multi sampler and its seeds, and the simple-graph test
+generator in tests/oracles.py: forced cases, exact marginals,
+reproducibility."""
 
 from collections import Counter
 from fractions import Fraction
@@ -8,31 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import core_model_enum, truncated_multinomial_enum
-from wkorient.hypergraph import OrientationParams
-from wkorient.models import (
-    EdgeCountVector,
-    RetryBudgetError,
-    RngSeed,
-    sample_core_model,
-    sample_nonuniform_multi,
-    sample_truncated_degree_sequence,
-    sample_uniform_multi,
-    sample_uniform_simple,
-)
-from wkorient.peeling import rancore
-
-# Frozen from tests/oracles.py: exact enumerations of the two conditioned
-# models on instances small enough to list every outcome.
-DEGREE_MARGINAL_4_10_2 = {2: Fraction(7, 12), 3: Fraction(1, 3), 4: Fraction(1, 12)}
-CORE_MODEL_3_TWO_PAIRS = {
-    ((0, 0), (1, 2)): Fraction(1, 9),
-    ((0, 1), (0, 2)): Fraction(2, 9),
-    ((0, 1), (1, 2)): Fraction(2, 9),
-    ((0, 1), (2, 2)): Fraction(1, 9),
-    ((0, 2), (1, 1)): Fraction(1, 9),
-    ((0, 2), (1, 2)): Fraction(2, 9),
-}
+from oracles import sample_uniform_simple
+from wkorient.models import RngSeed, sample_uniform_multi
 
 
 def _chi2_pvalue(observed: Counter, expected_law: dict, trials: int) -> float:
@@ -45,7 +24,7 @@ def _chi2_pvalue(observed: Counter, expected_law: dict, trials: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# seeds and edge-count vectors
+# seeds
 
 
 def test_rng_seed_is_reproducible():
@@ -59,29 +38,10 @@ def test_rng_seed_streams_differ():
     b = RngSeed(123, 1).generator().integers(0, 10**9)
     c = RngSeed(124, 0).generator().integers(0, 10**9)
     assert len({int(a), int(b), int(c)}) == 3
-    assert RngSeed(123).with_stream(7) == RngSeed(123, 7)
-
-
-def test_edge_count_vector_canonicalizes():
-    v = EdgeCountVector({2: 1, 3: 4, 5: 0})
-    assert v.counts == ((3, 4), (2, 1))  # zero rows dropped, sizes descending
-    assert v == EdgeCountVector([(3, 4), (2, 1)])
-    assert v.num_edges == 5
-    assert v.total_balls == 14
-    assert v.mean_degree(7) == 2.0
-    assert v.as_dict() == {3: 4, 2: 1}
-    assert EdgeCountVector.uniform(3, 9) == EdgeCountVector({3: 9})
-
-
-def test_edge_count_vector_validation():
-    with pytest.raises(ValueError):
-        EdgeCountVector({0: 3})
-    with pytest.raises(ValueError):
-        EdgeCountVector({2: -1})
 
 
 # ---------------------------------------------------------------------------
-# unconditioned samplers
+# samplers
 
 
 def test_uniform_multi_single_vertex_is_forced():
@@ -98,6 +58,14 @@ def test_uniform_multi_shape_and_determinism():
     assert H == sample_uniform_multi(50, 120, 3, seed.generator())
     with pytest.raises(ValueError):
         sample_uniform_multi(0, 1, 2, seed.generator())
+    with pytest.raises(ValueError, match="h=0"):
+        sample_uniform_multi(5, 1, 0, seed.generator())
+    with pytest.raises(ValueError, match="m=-1"):
+        sample_uniform_multi(5, -1, 2, seed.generator())
+    with pytest.raises(ValueError, match="seed=-1"):
+        RngSeed(-1)
+    with pytest.raises(ValueError, match="stream=-2"):
+        RngSeed(0, -2)
 
 
 def test_uniform_multi_mean_degree():
@@ -128,7 +96,7 @@ def test_uniform_simple_capacity_check():
 
 
 def test_uniform_simple_retry_budget():
-    with pytest.raises(RetryBudgetError):
+    with pytest.raises(RuntimeError, match="exhausted 2 attempts"):
         sample_uniform_simple(3, 3, 2, RngSeed(0).generator(), max_attempts=2)
 
 
@@ -138,106 +106,3 @@ def test_uniform_simple_single_edge_is_uniform():
     law = {e: Fraction(1, 6) for e in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
     seen = Counter(sample_uniform_simple(4, 1, 2, rng).edges[0] for _ in range(trials))
     assert _chi2_pvalue(seen, law, trials) > 1e-3
-
-
-def test_nonuniform_multi_respects_counts():
-    v = EdgeCountVector({3: 4, 2: 6})
-    H = sample_nonuniform_multi(10, v, RngSeed(3).generator())
-    assert H.edge_size_counts() == {3: 4, 2: 6}
-    assert H.total_degree == v.total_balls
-
-
-# ---------------------------------------------------------------------------
-# conditioned degree sequences
-
-
-def test_degree_sequence_tight_sum_is_constant():
-    deg = sample_truncated_degree_sequence(5, 15, 2, RngSeed(1).generator())
-    assert (deg == 3).all()
-
-
-def test_degree_sequence_infeasible_sum():
-    with pytest.raises(ValueError):
-        sample_truncated_degree_sequence(5, 14, 2, RngSeed(1).generator())
-
-
-def test_degree_sequence_floor_and_sum():
-    rng = RngSeed(2).generator()
-    for _ in range(50):
-        deg = sample_truncated_degree_sequence(6, 23, 1, rng)
-        assert deg.min() >= 2
-        assert deg.sum() == 23
-
-
-def test_degree_sequence_low_mean_regime():
-    # D/n barely above k+1 still has a valid (tiny) rate
-    deg = sample_truncated_degree_sequence(10, 21, 1, RngSeed(4).generator())
-    assert deg.sum() == 21 and deg.min() >= 2
-
-
-def test_degree_sequence_retry_budget():
-    with pytest.raises(RetryBudgetError):
-        sample_truncated_degree_sequence(
-            2, 5, 1, RngSeed(0).generator(), max_rejections=0
-        )
-
-
-def test_degree_sequence_marginal_matches_enumeration():
-    # n=4 degrees >= 2 summing to 10: the first coordinate's law, exactly
-    law = truncated_multinomial_enum(4, 10, 2)
-    marginal = Counter()
-    for outcome, prob in law.items():
-        marginal[outcome[0]] += prob
-    assert dict(marginal) == DEGREE_MARGINAL_4_10_2
-    rng = RngSeed(8).generator()
-    trials = 2000
-    seen = Counter(
-        int(sample_truncated_degree_sequence(4, 10, 1, rng)[0]) for _ in range(trials)
-    )
-    assert _chi2_pvalue(seen, DEGREE_MARGINAL_4_10_2, trials) > 1e-3
-
-
-# ---------------------------------------------------------------------------
-# the minimum-degree edge model
-
-
-def test_core_model_forced_instance():
-    H = sample_core_model(2, EdgeCountVector({2: 1}), 0, RngSeed(6).generator())
-    assert H.edges == ((0, 1),)
-
-
-def test_core_model_floor_and_sizes():
-    v = EdgeCountVector({3: 5, 2: 3})
-    rng = RngSeed(10).generator()
-    for _ in range(25):
-        H = sample_core_model(6, v, 2, rng)
-        assert H.edge_size_counts() == {3: 5, 2: 3}
-        assert min(H.degrees()) >= 3
-
-
-def test_core_model_infeasible():
-    with pytest.raises(ValueError):
-        sample_core_model(3, EdgeCountVector({2: 1}), 0, RngSeed(0).generator())
-
-
-def test_core_model_distribution_matches_enumeration():
-    law = core_model_enum(3, {2: 2}, 1)
-    assert law == CORE_MODEL_3_TWO_PAIRS
-    rng = RngSeed(12).generator()
-    trials = 4000
-    seen = Counter(
-        tuple(sorted(sample_core_model(3, EdgeCountVector({2: 2}), 0, rng).edges))
-        for _ in range(trials)
-    )
-    assert _chi2_pvalue(seen, CORE_MODEL_3_TWO_PAIRS, trials) > 1e-3
-
-
-def test_core_model_is_a_peeling_fixed_point():
-    p = OrientationParams(3, 2, 2)
-    v = EdgeCountVector({3: 3, 2: 2})
-    rng = RngSeed(13).generator()
-    for _ in range(20):
-        H = sample_core_model(4, v, p.k, rng)
-        res = rancore(H, p)
-        assert res.core == H
-        assert res.core_vertices == tuple(range(4))

@@ -1,6 +1,5 @@
 """Peeling to the core, sign bookkeeping, and the randomized process trace."""
 
-import io
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -55,8 +54,7 @@ def test_single_edge_peels_to_nothing():
     assert pr.edge_fate == (None,)
     assert sorted(v for v, _ in pr.elimination) == [0, 1, 2]
     stats = core_statistics(pr, P322)
-    assert stats.empty
-    assert (stats.n_core, stats.kappa, stats.mu_hat) == (0, 0, 0.0)
+    assert (stats.n_core, stats.m_core, stats.kappa, stats.mu_hat) == (0, {}, None, None)
 
 
 def test_all_triples_survive_intact():
@@ -67,7 +65,7 @@ def test_all_triples_survive_intact():
     assert pr.elimination == ()
     stats = core_statistics(pr, P322)
     assert stats.n_core == 4
-    assert stats.m_vec.as_dict() == {3: 4}
+    assert stats.m_core == {3: 4}
     assert stats.kappa == Fraction(2)
     assert stats.mu_hat == 3.0
 
@@ -293,16 +291,6 @@ def test_trace_leaves_the_rng_path_alone(hwk, mu, seed):
     assert plain.core == traced.core
 
 
-def test_trace_csv_layout():
-    tr = _traced(Hypergraph(5, [(0, 1, 2), (2, 3, 4)]), P322)
-    buf = io.StringIO()
-    tr.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "x,z_L,z_B,z_HV,z_L_3,z_L_2,z_H_3,z_H_2"
-    assert len(lines) == 1 + len(tr.steps)
-    assert float(lines[1].split(",")[2]) == pytest.approx(6 / 5)  # z_B(0)
-
-
 # ---------------------------------------------------------------------------
 # derived statistics
 
@@ -314,10 +302,10 @@ def test_core_statistics_recount(inst):
     pr = rancore(H, p)
     stats = core_statistics(pr, p)
     if pr.core.n == 0:
-        assert stats.empty and stats.m_vec.num_edges == 0
+        assert (stats.n_core, stats.m_core, stats.kappa, stats.mu_hat) == (0, {}, None, None)
         return
     assert stats.n_core == pr.core.n
-    assert stats.m_vec.as_dict() == dict(pr.core.edge_size_counts())
+    assert stats.m_core == dict(pr.core.edge_size_counts())
     assert stats.kappa == w_density(pr.core, p)
     assert stats.mu_hat == pr.core.total_degree / pr.core.n
 

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from oracles import f_k_mp, solve_lambda_mp, truncated_mean_mp
 from wkorient.poisson import (
-    TruncatedPoisson,
     heavy_bucket_fraction,
     initial_conditions,
     poisson_tail,
     poisson_tail_complement,
     solve_lambda,
     truncated_mean_from_rate,
+    truncated_poisson_pmf,
 )
 
 # Frozen from tests/oracles.py (mpmath at 60 digits).
@@ -181,54 +181,36 @@ def test_truncated_mean_zero_rate():
 
 
 # ---------------------------------------------------------------------------
-# TruncatedPoisson distribution object
+# the truncated Poisson pmf
 # ---------------------------------------------------------------------------
 
 
 def test_truncated_pmf_normalises():
     for lam, k in ((0.7, 1), (6.0, 3), (50.0, 20)):
-        d = TruncatedPoisson(lam, k)
-        total = sum(d.pmf(j) for j in range(k, k + 400))
+        total = sum(truncated_poisson_pmf(j, lam, k) for j in range(k, k + 400))
         assert total == pytest.approx(1.0, abs=1e-10)
-        assert d.pmf(k - 1) == 0.0
+        assert truncated_poisson_pmf(k - 1, lam, k) == 0.0
+    with pytest.raises(ValueError):
+        truncated_poisson_pmf(3, 0.0, 2)
 
 
 def test_truncated_pmf_k0_is_plain_poisson():
-    d = TruncatedPoisson(3.0, 0)
     for j in range(8):
         want = math.exp(-3.0) * 3.0**j / math.factorial(j)
-        assert d.pmf(j) == pytest.approx(want, rel=1e-12)
+        assert truncated_poisson_pmf(j, 3.0, 0) == pytest.approx(want, rel=1e-12)
 
 
 def test_truncated_mean_property():
     for lam, k in ((2.0, 2), (11.0, 4)):
-        d = TruncatedPoisson(lam, k)
-        series = sum(j * d.pmf(j) for j in range(k, k + 300))
-        assert d.mean() == pytest.approx(series, rel=1e-10)
-        assert d.mean() == pytest.approx(
-            truncated_mean_from_rate(lam, k), rel=1e-12
-        )
-
-
-def test_sampler_moments_and_support():
-    d = TruncatedPoisson(4.5, 3)
-    rng = np.random.default_rng(1234)
-    draws = d.sample_array(rng, 200_000)
-    assert draws.min() >= 3
-    sigma = math.sqrt(float(np.var(draws)) / draws.size)
-    assert abs(float(draws.mean()) - d.mean()) < 4 * sigma
-
-
-def test_sampler_reproducible():
-    d = TruncatedPoisson(2.2, 1)
-    a = d.sample_array(np.random.default_rng(7), 50)
-    b = d.sample_array(np.random.default_rng(7), 50)
-    assert np.array_equal(a, b)
+        series = sum(j * truncated_poisson_pmf(j, lam, k) for j in range(k, k + 300))
+        assert truncated_mean_from_rate(lam, k) == pytest.approx(series, rel=1e-10)
 
 
 def test_heavy_bucket_fraction_identity():
-    for lam, k in ((1.3, 1), (6.0, 4), (55.0, 40)):
-        want = TruncatedPoisson(lam, k + 1).pmf(k + 1)
+    # the same expression, so the same float
+    for lam, k in ((1.3, 1), (6.0, 4), (55.0, 40), (700.0, 3)):
+        assert heavy_bucket_fraction(lam, k) == truncated_poisson_pmf(k + 1, lam, k + 1)
+        want = math.exp(-lam) * lam ** (k + 1) / math.factorial(k + 1) / poisson_tail(k + 1, lam)
         assert heavy_bucket_fraction(lam, k) == pytest.approx(want, rel=1e-12)
     assert heavy_bucket_fraction(4000.0, 2) < 1e-200
 
