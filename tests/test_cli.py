@@ -574,7 +574,7 @@ GOLDEN = {
     "threshold_json": ("0f7414e5f5aefddce3b2799d3b0d9a29a74f432a7a70848a17f7b9f5cfad7f6d", 574),
     "table1_csv": ("f9921a896982f7820dcda6f6d57f7daf426ceaa1d7e93c9b0f26069f486b7896", 539),
     "table1_json": ("b6d385d2eb8b106b1c3c7278354a079c1c196a29995459b45c1415a4a7148ae9", 1382),
-    "ode_311_json": ("b1f235fed36820076bbc1dd7a1a8dd640e5cb9bf610587ab497d244e86c764c2", 269),
+    "ode_311_json": ("9fbf4ae1856d5baea4024b9d049bc3434a4b5a28d2adad070ae7f16ddff6cfba", 165),
     "ode_311_csv": ("0d844282c79ce463f0200313e806675a0953b11c9974b0abc30e26045fec5e4f", 59825),
     "ode_211_json": ("75dc93fb4a87f564cee5fb0839a8bf889d6cb57504853d9a6f1c5ecf3c141296", 175),
     "ode_211_csv": ("d43c949e146a7c822d95881f6c806751a433718f55843bc54662c3786307b7d9", 64),
