@@ -57,11 +57,11 @@ from .poisson import solve_lambda, truncated_poisson_pmf
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
-    "SimulationReport",
+    "HittingRecord",
     "CoreProfileReport",
     "TABLE1_REFERENCE",
     "run_trial",
-    "simulate_threshold",
+    "hitting_load",
     "core_profile",
     "table1_rows",
     "main",
@@ -84,6 +84,13 @@ TABLE1_REFERENCE = (
 # ---------------------------------------------------------------------------
 
 
+def _check_counts(n: int, trials: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be positive, got n={n}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got trials={trials}")
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated parameters for one batch of sampled trials."""
@@ -99,12 +106,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         OrientationParams(self.h, self.w, self.k)  # reuse its validation
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        _check_counts(self.n, self.trials)
         if not 0 < self.mu_bar < math.inf:
             raise DomainError(f"mu must be positive and finite, got {self.mu_bar}")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
 
     @property
     def params(self) -> OrientationParams:
@@ -192,15 +196,18 @@ def _worker_count() -> int:
     return int(env)
 
 
-def _run_batch(cfg: ExperimentConfig, stream_base: int) -> list[TrialRecord]:
-    """Run cfg.trials independent trials, merged by index."""
-    jobs = [(cfg, t, stream_base + t) for t in range(cfg.trials)]
-    workers = min(_worker_count(), cfg.trials)
+def _pool_map(fn, jobs: list) -> list:
+    """fn(*job) for every job, in job order, on up to WKORIENT_WORKERS processes."""
+    workers = min(_worker_count(), len(jobs))
     if workers <= 1:
-        records = [run_trial(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial_star, jobs))
+        return [fn(*job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
+
+
+def _run_batch(cfg: ExperimentConfig) -> list[TrialRecord]:
+    """Run cfg.trials independent trials, trial t on stream t, merged by index."""
+    records = _pool_map(run_trial, [(cfg, t, t) for t in range(cfg.trials)])
     for r in records:
         stages = ", ".join(f"{k} {v:.2f}" for k, v in r.timings.items())
         kappa = "undefined" if r.kappa is None else f"{r.kappa:.5f}"
@@ -211,10 +218,6 @@ def _run_batch(cfg: ExperimentConfig, stream_base: int) -> list[TrialRecord]:
             file=sys.stderr,
         )
     return records
-
-
-def _run_trial_star(job) -> TrialRecord:
-    return run_trial(*job)
 
 
 # ---------------------------------------------------------------------------
@@ -329,101 +332,74 @@ def _stats_dict(stats: CoreStats) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# simulate: empirical orientability threshold
+# simulate: per-instance hitting loads
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
-class SimulationReport:
-    probes: list  # (mu_bar, fraction_orientable, wald_half_width)
-    records: list
-    bracket: tuple
-    estimate: float
-    half_width: float
-    ode_threshold: Optional[float]
+class HittingRecord:
+    """One instance's hitting count m_star, its first prefix whose core cannot
+    be oriented, and load h·m_star/n; ``density_agrees`` if the density search
+    found m_star too.  ``seconds`` stays out of the persisted tables."""
+
+    trial: int
+    stream: int
+    m_star: int
+    load: float
+    density_agrees: bool
+    seconds: float = dataclasses.field(default=0.0, compare=False)
 
 
-def _wald_half_width(fraction: float, trials: int) -> float:
-    return 1.96 * math.sqrt(fraction * (1.0 - fraction) / trials)
+def hitting_load(
+    p: OrientationParams, n: int, seed: int, trial: int, stream: int
+) -> HittingRecord:
+    """Locate one instance's hitting count by integer bisection.
 
-
-def simulate_threshold(
-    p: OrientationParams,
-    n: int,
-    trials: int,
-    seed: int,
-    tol: float = 0.05,
-    bracket: Optional[tuple[float, float]] = None,
-) -> SimulationReport:
-    """Bisect the mean degree for the 50% orientable point.
-
-    Each probe runs ``trials`` sampled instances (peel, then flow on the
-    core).  Without an explicit bracket, one is seeded from the numeric
-    threshold prediction and widened until the endpoint fractions straddle
-    one half.  Bisection stops at width <= tol, which must be positive and
-    finite, or once the midpoint falls on an end; the estimate is the final
-    midpoint with half the bracket as its half-width (probe-level binomial
-    noise is reported per probe, not folded in).
+    The instance is ``sample_uniform_multi`` on ``stream`` at m_max =
+    floor(k·n/w) + 1 rows.  Its first m rows are the m-edge sample that
+    ``run_trial`` draws on that stream, and orientability is monotone in
+    the edge set, so ``run_trial`` at m edges is orientable exactly when
+    m < m_star.  At m_max the demand w·m_max exceeds k·n, and peeling
+    grants at most k signs per removed vertex, so that core has w-density
+    above k: non-orientable by counting.  A bisection that only peels finds
+    a, the last prefix before the first dense core; one flow on a's core
+    then gives m_star = a+1.  If a's core does not orient, the search
+    bisects [0, a] on the flow verdict itself, with density_agrees False.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    records: list[TrialRecord] = []
-    probes: list[tuple[float, float, float]] = []
-    probe_index = 0
+    t0 = time.perf_counter()
+    rng = RngSeed(seed, stream).generator()
+    H = sample_uniform_multi(n, p.k * n // p.w + 1, p.h, rng)
 
-    def fraction_at(mu_bar: float) -> float:
-        nonlocal probe_index
-        cfg = ExperimentConfig(
-            p.h, p.w, p.k, n, mu_bar, trials, seed, check_orientability=True
-        )
-        print(f"probe mu_bar={mu_bar:.5f}", file=sys.stderr)
-        batch = _run_batch(cfg, stream_base=probe_index * trials)
-        probe_index += 1
-        records.extend(batch)
-        frac = sum(1 for r in batch if r.orientable) / trials
-        probes.append((mu_bar, frac, _wald_half_width(frac, trials)))
-        return frac
+    def core(m: int) -> Hypergraph:
+        prefix = Hypergraph(n, ptr=H.ptr[: m + 1], verts=H.verts[: H.ptr[m]])
+        return rancore(prefix, p).core
 
-    ode_threshold: Optional[float] = None
-    if bracket is None:
-        ode_threshold = find_threshold(p, tol=1e-3).mu_tilde
-        lo, hi = ode_threshold - 2 * tol, ode_threshold + 2 * tol
-    else:
-        lo, hi = bracket
-    if not 0 < lo < hi < math.inf:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
+    def dense(c: Hypergraph) -> bool:
+        return c.n > 0 and w_density(c, p) > p.k
 
-    f_lo = fraction_at(lo)
-    for _ in range(4):
-        if f_lo >= 0.5:
-            break
-        lo -= max(2 * tol, 0.05)
-        f_lo = fraction_at(lo)
-    f_hi = fraction_at(hi)
-    for _ in range(4):
-        if f_hi < 0.5:
-            break
-        hi += max(2 * tol, 0.05)
-        f_hi = fraction_at(hi)
-    if f_lo < 0.5 or f_hi >= 0.5:
-        raise RuntimeError(
-            f"orientable fraction does not straddle 1/2 on [{lo}, {hi}]"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # tol below the float spacing of the bracket
-            break
-        if fraction_at(mid) >= 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return SimulationReport(
-        probes=probes,
-        records=records,
-        bracket=(lo, hi),
-        estimate=0.5 * (lo + hi),
-        half_width=0.5 * (hi - lo),
-        ode_threshold=ode_threshold,
+    def fails(c: Hypergraph) -> bool:
+        return dense(c) or (c.num_edges > 0 and not isinstance(orient(c, p), Orientation))
+
+    def last_pass(hi: int, failing) -> tuple[int, Hypergraph]:
+        """The last prefix below hi whose core passes, and that core, given
+        that the empty prefix passes and hi fails."""
+        lo, passing = 0, core(0)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            c = core(mid)
+            if failing(c):
+                hi = mid
+            else:
+                lo, passing = mid, c
+        return lo, passing
+
+    a, c = last_pass(H.num_edges, dense)
+    agrees = not fails(c)
+    if not agrees:
+        a, _ = last_pass(a, fails)
+    m_star = a + 1
+    return HittingRecord(
+        trial, stream, m_star, p.h * m_star / n, agrees, time.perf_counter() - t0
     )
 
 
@@ -495,7 +471,7 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
     chi-square check of the pooled core degree histogram."""
     p = cfg.params
     prediction = core_fixed_point(p, cfg.mu_bar)
-    records = _run_batch(cfg, stream_base=0)
+    records = _run_batch(cfg)
 
     sizes = p.sizes
     mean_alpha = float(np.mean([r.n_core / cfg.n for r in records]))
@@ -724,53 +700,49 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    mus = args.mu or []
-    if len(mus) > 2:
-        raise SystemExit("simulate: give at most two --mu (a bisection bracket)")
     p = _params(args)
-    if len(mus) == 1:
+    if args.mu is not None:
         # single-point mode: orientable fraction at one mean degree
-        cfg = _config(args, mus[0], check_orientability=True)
-        records = _run_batch(cfg, stream_base=0)
-        frac = sum(1 for r in records if r.orientable) / len(records)
+        cfg = _config(args, args.mu, check_orientability=True)
+        trials = _run_batch(cfg)
+        frac = sum(1 for r in trials if r.orientable) / len(trials)
         mode = {
-            "mu_bar": mus[0],
+            "mu_bar": args.mu,
             "fraction_orientable": frac,
-            "half_width": _wald_half_width(frac, args.trials),
+            "half_width": 1.96 * math.sqrt(frac * (1.0 - frac) / args.trials),  # Wald
         }
+        records = [_record_dict(r) for r in trials]
+        rows = [_record_row(r, p.sizes) for r in trials]
     else:
-        report = simulate_threshold(
-            p, args.n, args.trials, args.seed, tol=args.tol, bracket=tuple(mus) or None
-        )
-        records = report.records
+        # hitting mode: one hitting load per instance, instance t on stream t
+        _check_counts(args.n, args.trials)
+        jobs = [(p, args.n, args.seed, t, t) for t in range(args.trials)]
+        hits = _pool_map(hitting_load, jobs)
+        for r in hits:
+            print(f"  instance {r.trial} (stream {r.stream}): m* {r.m_star}, load "
+                  f"{r.load:.5f}, density agrees {r.density_agrees}, {r.seconds:.1f}s",
+                  file=sys.stderr)
+        q1, median, q3 = np.quantile([r.load for r in hits], (0.25, 0.5, 0.75)).tolist()
         mode = {
-            "estimate": report.estimate,
-            "half_width": report.half_width,
-            "bracket": list(report.bracket),
-            "ode_threshold": report.ode_threshold,
-            "probes": [
-                {"mu_bar": mu, "fraction": f, "half_width": hw}
-                for mu, f, hw in report.probes
-            ],
+            "estimate": median,
+            "quartiles": [q1, q3],
+            "density_agrees_share": sum(r.density_agrees for r in hits) / len(hits),
         }
-        print(
-            f"estimate={report.estimate!r} half_width={report.half_width!r}",
-            file=sys.stderr,
-        )
+        print(f"estimate={median!r} quartiles=[{q1!r}, {q3!r}]", file=sys.stderr)
+        records = rows = [dataclasses.asdict(r) for r in hits]
+        for row in rows:
+            del row["seconds"]
     payload = {
         "h": p.h, "w": p.w, "k": p.k, "n": args.n,
         "trials": args.trials, "seed": args.seed,
         **mode,
-        "records": [_record_dict(r) for r in records],
+        "records": records,
     }
-    rows = [_record_row(r, p.sizes) for r in records]
     return _emit(args, "simulate", payload, rows=rows)
 
 
 def _cmd_core_profile(args) -> int:
-    if len(args.mu) != 1:
-        raise SystemExit("core-profile: need exactly one --mu")
-    cfg = _config(args, args.mu[0])
+    cfg = _config(args, args.mu)
     report = core_profile(cfg)
     pred = report.prediction
     predicted = _stats_dict(pred)
@@ -829,6 +801,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+class _Once(argparse.Action):
+    """Store an option's value, with a usage error when it is repeated."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -900,20 +881,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "simulate",
-        help="empirical orientable fraction / threshold by simulation",
+        help="empirical orientable fraction / hitting loads by simulation",
     )
     common(sp)
     sp.add_argument("--n", type=int, default=100_000, help="vertices per trial")
     sp.add_argument(
-        "--mu", type=float, action="append",
-        help="one value: evaluate there; two values: bisection bracket; "
-        "absent: bracket seeded from the numeric threshold",
+        "--mu", type=float, action=_Once,
+        help="evaluate the orientable fraction at this mean degree; "
+        "absent: one hitting load per instance",
     )
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--tol", type=float, default=0.05, help="bisection width (default %(default)s)"
-    )
     io_flags(sp)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -923,7 +901,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(sp)
     sp.add_argument("--n", type=int, default=100_000)
-    sp.add_argument("--mu", type=float, action="append", required=True)
+    sp.add_argument("--mu", type=float, action=_Once, required=True)
     sp.add_argument("--trials", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     io_flags(sp)

@@ -6,6 +6,7 @@ so the file takes a few minutes on one core.  Each test prints a
 one-line verdict (visible with -s, or in a captured run log).
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from oracles import (
 from wkorient.cli import (
     ExperimentConfig,
     core_profile,
-    simulate_threshold,
+    main,
     table1_rows,
 )
 from wkorient.flow import orient
@@ -306,19 +307,27 @@ def test_core_profile_predicts_small_k_cores(hwk, mu_bar):
 # ---------------------------------------------------------------------------
 
 
-def test_orientability_transition_is_sharp():
-    p = OrientationParams(3, 2, 4)
-    rep = simulate_threshold(
-        p, n=100_000, trials=10, seed=SEED, tol=0.05, bracket=(5.4, 5.6)
-    )
-    fractions = {mu: frac for mu, frac, _ in rep.probes}
+def test_orientability_transition_is_sharp(tmp_path):
+    # one hitting load per instance: an instance is orientable at mean
+    # degree mu exactly when its hitting count exceeds the edge count there
+    n, out = 100_000, tmp_path / "hitting.json"
+    argv = ["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", str(n),
+            "--trials", "10", "--seed", str(SEED), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    rep = json.loads(out.read_text())
+    m_stars = [r["m_star"] for r in rep["records"]]
+    fractions = {}
+    for mu in (5.4, 5.6):
+        edges = ExperimentConfig(3, 2, 4, n, mu, 10, SEED).num_edges
+        fractions[mu] = sum(m > edges for m in m_stars) / len(m_stars)
     assert fractions[5.4] >= 0.9, fractions
     assert fractions[5.6] <= 0.1, fractions
-    assert abs(rep.estimate - 5.485) <= 0.05, rep.estimate
+    assert abs(rep["estimate"] - 5.485) <= 0.05, rep["estimate"]
+    q1, q3 = rep["quartiles"]
     _verdict(
         "sharp transition",
         f"fraction {fractions[5.4]:.2f} at 5.4, {fractions[5.6]:.2f} at 5.6, "
-        f"crossing {rep.estimate:.3f} +/- {rep.half_width:.3f}",
+        f"median hitting load {rep['estimate']:.4f} (quartiles {q1:.4f}, {q3:.4f})",
     )
 
 

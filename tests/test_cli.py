@@ -1,20 +1,24 @@
 """The command-line surface: exit codes, formats, and reproducibility."""
 
 import json
-import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 import wkorient
-from wkorient.cli import ExperimentConfig, _truncated_poisson_chi2, main, simulate_threshold
+from wkorient.cli import (
+    ExperimentConfig,
+    _truncated_poisson_chi2,
+    hitting_load,
+    main,
+    run_trial,
+)
 from wkorient.flow import orient
 from wkorient.hypergraph import (
     Hypergraph,
@@ -24,8 +28,9 @@ from wkorient.hypergraph import (
     write_hypergraph,
 )
 from oracles import sample_uniform_simple
-from wkorient.models import RngSeed
+from wkorient.models import RngSeed, sample_uniform_multi
 from wkorient.ode import BracketError, DomainError, ThresholdResult
+from wkorient.peeling import rancore
 from wkorient.poisson import solve_lambda, truncated_poisson_pmf
 
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n0 2\n"
@@ -289,32 +294,84 @@ def test_empty_cores_report_no_density(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("# core of h=3 w=2 k=4: n_core=0 kappa= mu_hat=\n")
 
 
-def test_simulate_explicit_bracket(capsys):
-    code = main(
-        ["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "400",
-         "--mu", "5.2", "--mu", "5.8", "--trials", "3", "--seed", "2",
-         "--tol", "0.2", "--format", "json"]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ode_threshold"] is None  # bracket was supplied, not derived
-    assert payload["bracket"][1] - payload["bracket"][0] <= 0.2
-    assert 5.2 <= payload["estimate"] <= 5.8
-    assert payload["probes"][0]["fraction"] >= 0.5
-
-
-def test_simulate_rejects_a_third_mu():
-    with pytest.raises(SystemExit, match="at most two --mu"):
+def test_simulate_rejects_a_second_mu(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "400",
-              "--mu", "5.2", "--mu", "5.8", "--mu", "9"])
+              "--mu", "5.2", "--mu", "5.8"])
+    assert exc.value.code == 64
+    assert "wkorient simulate: error: --mu may be given only once" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# hitting loads: simulate without --mu
+
+
+def _first_failing_prefix(p, n, seed, stream):
+    """The first prefix of the instance hitting_load samples whose core does
+    not orient, by a linear scan (None when no prefix fails)."""
+    H = sample_uniform_multi(n, p.k * n // p.w + 1, p.h, RngSeed(seed, stream).generator())
+    for m in range(H.num_edges + 1):
+        core = rancore(Hypergraph(n, ptr=H.ptr[: m + 1], verts=H.verts[: H.ptr[m]]), p).core
+        if core.num_edges and not isinstance(orient(core, p), Orientation):
+            return m
+    return None
+
+
+@pytest.mark.parametrize("hwk", [(3, 2, 4), (3, 2, 1), (3, 2, 2), (4, 3, 2), (2, 1, 2)])
+def test_hitting_load_is_the_first_failing_prefix(hwk):
+    p = OrientationParams(*hwk)
+    for n in (6, 10, 20):
+        for stream in range(6):
+            rec = hitting_load(p, n, 0, stream, stream)
+            assert rec.m_star == _first_failing_prefix(p, n, 0, stream), (n, stream)
+            assert rec.load == p.h * rec.m_star / n
+
+
+def test_hitting_load_settles_a_density_disagreement_by_flows():
+    # at n = 6 repeated vertices leave some sparse cores non-orientable, so
+    # the first dense prefix comes too late and the search bisects on flows
+    p = OrientationParams(3, 2, 4)
+    rec = hitting_load(p, 6, 0, 1, 1)
+    assert not rec.density_agrees
+    assert rec.m_star == _first_failing_prefix(p, 6, 0, 1)
+
+
+def test_run_trial_orients_exactly_below_the_hitting_count():
+    # run_trial at m edges on stream t samples the first m rows of the
+    # instance hitting_load searches on stream t
+    for hwk, n in (((3, 2, 4), 300), ((3, 2, 2), 200)):
+        p = OrientationParams(*hwk)
+        for t in range(4):
+            m_star = hitting_load(p, n, 7, t, t).m_star
+            for m in (m_star - 3, m_star - 1, m_star, m_star + 2):
+                cfg = ExperimentConfig(*hwk, n, p.h * m / n, 1, 7, check_orientability=True)
+                assert cfg.num_edges == m
+                assert run_trial(cfg, t, t).orientable == (m_star > m), (hwk, t, m)
+
+
+def test_simulate_hitting_mode_summarises_the_loads(capsys):
+    assert main(["simulate", *HWK, "--n", "400", "--trials", "5", "--seed", "2",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    records = payload["records"]
+    assert [(r["trial"], r["stream"]) for r in records] == [(t, t) for t in range(5)]
+    assert all(r["load"] == 3 * r["m_star"] / 400 for r in records)
+    loads = [r["load"] for r in records]
+    assert payload["estimate"] == sorted(loads)[2]
+    assert payload["quartiles"] == np.quantile(loads, (0.25, 0.75)).tolist()
+    agrees = [r["density_agrees"] for r in records]
+    assert payload["density_agrees_share"] == sum(agrees) / 5
 
 
 def test_core_profile_requires_one_mu(capsys):
-    # a message as the exit code: the interpreter prints it and exits 1
+    # a repeated or missing --mu is a usage error, as for any other option
     with pytest.raises(SystemExit) as exc:
         main(["core-profile", "--h", "3", "--w", "2", "--k", "4",
               "--mu", "5.0", "--mu", "6.0"])
-    assert exc.value.code == "core-profile: need exactly one --mu"
+    assert exc.value.code == 64
+    assert "wkorient core-profile: error: --mu may be given only once" in (
+        capsys.readouterr().err
+    )
     with pytest.raises(SystemExit) as exc:  # --mu is required
         main(["core-profile", "--h", "3", "--w", "2", "--k", "4"])
     assert exc.value.code == 64
@@ -403,15 +460,17 @@ def test_every_export_resolves():
 
 
 def test_identical_seeds_are_worker_count_invariant(tmp_path, monkeypatch):
-    args = ["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "500",
-            "--mu", "5.3", "--trials", "4", "--seed", "9", "--format", "json"]
-    outs = []
-    for workers in ("1", "3"):
-        monkeypatch.setenv("WKORIENT_WORKERS", workers)
-        out = str(tmp_path / f"w{workers}.json")
-        assert main(args + ["--out", out]) == 0
-        outs.append(open(out).read())
-    assert outs[0] == outs[1]
+    # single-point mode and hitting mode (no --mu)
+    for mode in (["--mu", "5.3"], []):
+        args = ["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "500",
+                *mode, "--trials", "4", "--seed", "9", "--format", "json"]
+        outs = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("WKORIENT_WORKERS", workers)
+            out = str(tmp_path / f"w{workers}.json")
+            assert main(args + ["--out", out]) == 0
+            outs.append(open(out).read())
+        assert outs[0] == outs[1], mode
 
 
 def test_ode_warns_when_no_core_ending(tmp_path, capsys):
@@ -455,13 +514,13 @@ SIM = ["simulate", *HWK, "--n", "200", "--trials", "1"]
         (["threshold", *HWK, "--tol", "nan"], "nan"),
         (["threshold", *HWK, "--tol", "inf"], "inf"),
         (["table1", "--tol", "nan"], "nan"),
-        ([*SIM, "--mu", "5", "--mu", "6", "--tol", "-1"], "-1.0"),
-        ([*SIM, "--mu", "5", "--mu", "6", "--tol", "nan"], "nan"),
+        ([*SIM, "--n", "0"], "n=0"),
+        ([*SIM, "--trials", "0"], "trials=0"),
         (["ode", *HWK, "--mu", "nan"], "nan"),
         (["ode", *HWK, "--mu", "inf"], "inf"),
         ([*SIM, "--mu", "inf"], "inf"),
         ([*SIM, "--mu", "nan"], "nan"),
-        ([*SIM, "--mu", "5", "--mu", "inf"], "inf"),
+        (["core-profile", *HWK, "--n", "200", "--trials", "1", "--mu", "inf"], "inf"),
         (["gen", "--h", "3", "--n", "10", "--mu", "inf"], "inf"),
         (["gen", "--h", "3", "--n", "10", "--mu", "nan"], "nan"),
         (["gen", "--h", "0", "--n", "10", "--mu", "5"], "h=0"),
@@ -470,6 +529,8 @@ SIM = ["simulate", *HWK, "--n", "200", "--trials", "1"]
         (["gen", "--h", "3", "--n", "10", "--m", "3", "--seed", "-1"], "seed=-1"),
         (["WKORIENT_WORKERS=abc", *SIM, "--mu", "5"], "'abc'"),
         (["WKORIENT_WORKERS=0", *SIM, "--mu", "5"], "'0'"),
+        ([*SIM, "--mu", "5", "--n", "0"], "n=0"),
+        ([*SIM, "--mu", "5", "--trials", "0"], "trials=0"),
     ],
 )
 def test_bad_tolerances_and_mean_degrees_exit_1(argv, bad, capsys, monkeypatch):
@@ -489,33 +550,13 @@ def test_bad_tolerances_and_mean_degrees_exit_1(argv, bad, capsys, monkeypatch):
 
 
 def test_library_calls_reject_bad_tolerances_and_mean_degrees():
-    p = OrientationParams(3, 2, 4)
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            simulate_threshold(p, 200, 1, 0, tol=tol, bracket=(5.0, 6.0))
     for mu_bar in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             ExperimentConfig(3, 2, 4, 200, mu_bar, 1, 0)
-
-
-def test_simulate_bisection_ends_on_float_spacing(monkeypatch):
-    # a tol below the float spacing of the bracket ends where the midpoint
-    # meets an end, instead of probing that mean degree forever
-    import wkorient.cli as cli
-
-    probes = []
-
-    def stub(cfg, stream_base):
-        probes.append(cfg.mu_bar)
-        return [SimpleNamespace(orientable=cfg.mu_bar < 5.5)] * cfg.trials
-
-    monkeypatch.setattr(cli, "_run_batch", stub)
-    rep = simulate_threshold(
-        OrientationParams(3, 2, 4), 200, 2, 0, tol=1e-300, bracket=(5.0, 6.0)
-    )
-    assert len(probes) < 64
-    lo, hi = rep.bracket
-    assert lo < 5.5 <= hi and math.nextafter(lo, hi) == hi
+    with pytest.raises(ValueError, match="got n=0"):
+        ExperimentConfig(3, 2, 4, 0, 5.0, 1, 0)
+    with pytest.raises(ValueError, match="got trials=0"):
+        ExperimentConfig(3, 2, 4, 200, 5.0, 0, 0)
 
 
 def test_table1_survives_row_failures(capsys, monkeypatch):
@@ -566,8 +607,8 @@ GOLDEN = {
     "stats_hi_json": ("5d05948f3160fa1b3b883ae5da8cf6d58505585b37349dea14664a64916607c2", 256),
     "simulate_json": ("7fb1d8e9988d908506d67b9cd51f741036bbe4bf3a490db567f0581dbc960fc3", 1233),
     "simulate_csv": ("b8f2e1ed85fc7c81fc5cf181045ac348c5a70d048818f4499c54ee8422ec2a0c", 319),
-    "simulate_bracket_csv": ("7ac3c8e5ff2aa784fcc568da74250358aba1caaa302d27fc1bbcdd4dbaba68fd", 797),
-    "simulate_bracket_json": ("d52a0129e1888e65b6d2c7712ea3d7930a48e02db21df7d97c601701b7172d73", 3615),
+    "simulate_hitting_csv": ("8f99778fb39d9b967251be79a7c74864eae421ae06a76db2ea09bb034c3a7e69", 99),
+    "simulate_hitting_json": ("dadeb55a922cad5cebfc74cb1326a339c9b02e0984d63e69557861b41684d43c", 604),
     "core_profile_csv": ("186b3bf74ec9a1abe74d92a7be5618e909d1c4b603e23072c13e2c91440d1b4a", 544),
     "core_profile_json": ("c74a8d80f8a8214cc357dfc5bd7c16c2a12f67c34aee0c4ba2cf5d48be2f797d", 1723),
     "threshold_csv": ("d378956d9833bd3363a084dbb0be69f1825431f827ea89a51fa5d4e1513bf971", 64),
@@ -592,8 +633,7 @@ def test_seeded_outputs_are_byte_identical(tmp_path, monkeypatch):
     lo, hi = str(tmp_path / "gen_lo"), str(tmp_path / "gen_hi")
     single = ["simulate", *hwk, "--n", "2000", "--mu", "5.5", "--trials", "4",
               "--seed", "3"]
-    bracket = ["simulate", *hwk, "--n", "400", "--mu", "5.2", "--mu", "5.8",
-               "--trials", "3", "--seed", "2", "--tol", "0.2"]
+    hitting = ["simulate", *hwk, "--n", "400", "--trials", "3", "--seed", "2"]
     profile = ["core-profile", *hwk, "--n", "3000", "--mu", "6.0", "--trials", "3",
                "--seed", "3"]
     threshold = ["threshold", *hwk, "--tol", "0.01"]
@@ -609,8 +649,8 @@ def test_seeded_outputs_are_byte_identical(tmp_path, monkeypatch):
         ("stats_hi_json", ["stats", hi, *hwk, "--format", "json"], 0),
         ("simulate_json", [*single, *json_], 0),
         ("simulate_csv", single, 0),
-        ("simulate_bracket_csv", bracket, 0),
-        ("simulate_bracket_json", [*bracket, *json_], 0),
+        ("simulate_hitting_csv", hitting, 0),
+        ("simulate_hitting_json", [*hitting, *json_], 0),
         ("core_profile_csv", profile, 0),
         ("core_profile_json", [*profile, *json_], 0),
         ("threshold_csv", threshold, 0),

@@ -2,6 +2,7 @@
 generator in tests/oracles.py: forced cases, exact marginals,
 reproducibility."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -76,6 +77,33 @@ def test_uniform_multi_mean_degree():
     assert H.total_degree == m * h
     sd = np.std(H.degrees())
     assert sd == pytest.approx(np.sqrt(m * h / n), rel=0.25)
+
+
+# sha256 of the int64 vertex bytes of sample_uniform_multi(n, 400, 3) on
+# seed 5, stream 2: below 2^32 numpy draws 32-bit bounded integers, above
+# it 64-bit ones
+PREFIX_DIGESTS = {
+    10**3: "b1e53665de90430585a377589266e76c4f5651bea6aa2f9a00fafbc406587cf2",
+    10**5: "90818f983234a530ad1c5251be19e7b940eb8bef78f82336986e5007a16b5084",
+    2**31 - 1: "3679373d28eb94e745cabff61c4a21528fdbd33bf3ba1bcb43af3456bb0bdc98",
+    2**32: "25c3744aab370c38f90d4c28e9887eec00cf18799b637c2ee2679a6ae3f5df69",
+    2**32 + 1: "02a3b7f0e8df41f19d36dd80e9446f3716ee4bd97f89c97668aa9ba66d0d0ba4",
+    2**33: "d958854563037953225a0c1281b24205791a965f044bac16262502a83e8e655e",
+}
+
+
+@pytest.mark.parametrize("n", list(PREFIX_DIGESTS))
+def test_uniform_multi_is_prefix_consistent(n):
+    # the first m rows of an m_max-row sample are the m-row sample on the
+    # same stream: simulate's hitting search bisects over these prefixes.
+    # The digest pins the draws themselves, so a change to numpy's
+    # bounded-integer stream fails here even where prefixes still agree
+    full = sample_uniform_multi(n, 400, 3, RngSeed(5, 2).generator())
+    for m in (0, 1, 17, 200, 399):
+        part = sample_uniform_multi(n, m, 3, RngSeed(5, 2).generator())
+        assert part.ptr.tobytes() == full.ptr[: m + 1].tobytes(), m
+        assert part.verts.tobytes() == full.verts[: full.ptr[m]].tobytes(), m
+    assert hashlib.sha256(full.verts.tobytes()).hexdigest() == PREFIX_DIGESTS[n]
 
 
 def test_uniform_simple_forced_instance():

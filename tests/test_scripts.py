@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wkorient.cli import table1_rows
+from wkorient.cli import ExperimentConfig, run_trial, table1_rows
 from wkorient.hypergraph import OrientationParams
 from wkorient.ode import core_emergence
 
@@ -69,3 +69,26 @@ def test_core_emergence_centres_its_grid_on_mu_c(tmp_path, capsys):
     _, mu_c = core_emergence(OrientationParams(3, 2, 10))
     assert _grid(tmp_path) == [round(f * mu_c, 4) for f in (0.8, 1.0, 1.2)]
     assert _grid(tmp_path, "--mu-lo", "14", "--mu-hi", "16") == [14.0, 15.0, 16.0]
+
+
+def test_transition_sweep_matches_stream_matched_trials(tmp_path, capsys):
+    # each grid fraction is the share of instances orientable there, read
+    # off hitting loads: the run_trial verdicts on streams 0..trials-1
+    sweep = _load("transition_sweep")
+    out = tmp_path / "sweep.csv"
+    argv = ["--n", "30", "--n", "90", "--trials", "6", "--window", "1.5", "--points", "7",
+            "--seed", "4", "--out", str(out)]
+    assert sweep.main(argv) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    grid = sweep.mean_degree_grid(OrientationParams(3, 2, 4), 1.5, 7)
+    assert [(int(r["n"]), float(r["mu_bar"])) for r in rows] == [
+        (n, round(mu, 5)) for n in (30, 90) for mu in grid
+    ]
+    fractions = []
+    for row, mu in zip(rows, grid * 2):
+        cfg = ExperimentConfig(3, 2, 4, int(row["n"]), mu, 6, 4, check_orientability=True)
+        verdicts = [run_trial(cfg, t, t).orientable for t in range(6)]
+        assert float(row["fraction"]) == sum(verdicts) / 6, row
+        fractions.append(float(row["fraction"]))
+    assert any(0 < f < 1 for f in fractions)  # the grid crosses the window
