@@ -668,7 +668,7 @@ def _cmd_ode(args) -> int:
     if args.format == "json":
         return _emit(args, "ode", payload)
     if traj is None:
-        _write_text(args.out, f"# empty core: {reason}\n")
+        _write_text(args.out, f"# no core read: {reason}\n")
         return 0
     with _open_out(args.out) as fh:
         traj.to_csv(fh)

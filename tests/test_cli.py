@@ -618,7 +618,7 @@ GOLDEN = {
     "ode_311_json": ("9fbf4ae1856d5baea4024b9d049bc3434a4b5a28d2adad070ae7f16ddff6cfba", 165),
     "ode_311_csv": ("0d844282c79ce463f0200313e806675a0953b11c9974b0abc30e26045fec5e4f", 59825),
     "ode_211_json": ("75dc93fb4a87f564cee5fb0839a8bf889d6cb57504853d9a6f1c5ecf3c141296", 175),
-    "ode_211_csv": ("d43c949e146a7c822d95881f6c806751a433718f55843bc54662c3786307b7d9", 64),
+    "ode_211_csv": ("d54af58ff8d6c22f81479f2aad0f510f268b108750e2c2db145bb49c74d366b8", 66),
     "ode_324_json": ("1a9344bc64cd0a843365147943477f252c7022319e83d7f953c00e6aeb532caa", 355),
     "ode_324_csv": ("3c3fa19a3c2a6f1e782508b4afae472846479b7aab2a161431581f3a573b2272", 74429),
 }
