@@ -347,7 +347,7 @@ class HittingRecord:
     m_star: int
     load: float
     density_agrees: bool
-    seconds: float = dataclasses.field(default=0.0, compare=False)
+    seconds: float = dataclasses.field(compare=False)
 
 
 def hitting_load(
@@ -704,15 +704,15 @@ def _cmd_simulate(args) -> int:
     if args.mu is not None:
         # single-point mode: orientable fraction at one mean degree
         cfg = _config(args, args.mu, check_orientability=True)
-        trials = _run_batch(cfg)
-        frac = sum(1 for r in trials if r.orientable) / len(trials)
+        batch = _run_batch(cfg)
+        frac = sum(1 for r in batch if r.orientable) / len(batch)
         mode = {
             "mu_bar": args.mu,
             "fraction_orientable": frac,
             "half_width": 1.96 * math.sqrt(frac * (1.0 - frac) / args.trials),  # Wald
         }
-        records = [_record_dict(r) for r in trials]
-        rows = [_record_row(r, p.sizes) for r in trials]
+        records = [_record_dict(r) for r in batch]
+        rows = [_record_row(r, p.sizes) for r in batch]
     else:
         # hitting mode: one hitting load per instance, instance t on stream t
         _check_counts(args.n, args.trials)
