@@ -54,8 +54,7 @@ def main(argv=None) -> int:
             )
             rep = core_profile(cfg)
             pred = rep.prediction
-            a_p = pred.alpha
-            k_p, m_p = (None, None) if pred.empty else (pred.kappa, pred.mu_hat)
+            a_p, k_p, m_p = pred.alpha, pred.kappa, pred.mu_hat
             writer.writerow([
                 f"{mu_bar:.4f}", f"{a_p:.6f}", f"{rep.mean_alpha:.6f}",
                 _cell(k_p, 6), _cell(rep.mean_kappa, 6),

@@ -325,8 +325,8 @@ def _stats_dict(stats: CoreStats) -> dict:
         "x_star": stats.x_star,
         "alpha": stats.alpha,
         "beta": {str(s): b for s, b in sorted(stats.beta.items())},
-        "kappa": None if stats.empty else stats.kappa,
-        "mu_hat": None if stats.empty else stats.mu_hat,
+        "kappa": stats.kappa,
+        "mu_hat": stats.mu_hat,
         "terminated_by": stats.terminated_by,
     }
 

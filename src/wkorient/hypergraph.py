@@ -28,7 +28,6 @@ __all__ = [
     "w_density",
     "w_induced_subgraph",
     "verify_orientation",
-    "check_property_T",
     "read_hypergraph",
     "write_hypergraph",
 ]
@@ -293,16 +292,6 @@ def verify_orientation(H: Hypergraph, o: Orientation, p: OrientationParams):
         v = int(over[0])
         return False, f"vertex {v}: indegree {indeg[v]} > {p.k}"
     return True, ""
-
-
-def check_property_T(H: Hypergraph, p: OrientationParams) -> bool:
-    """True iff the (w, k+1)-core is empty or has w-density <= k."""
-    from .peeling import rancore  # local import: peeling depends on these types
-
-    res = rancore(H, p)
-    if res.core.num_edges == 0 or res.core.n == 0:
-        return True
-    return w_density(res.core, p) <= p.k
 
 
 # ---------------------------------------------------------------------------

@@ -235,15 +235,16 @@ _EVENT_NAMES = ("z_L", "z_B_minus_z_L", "z_HV", "mu_floor")
 @dataclass(frozen=True)
 class CoreStats:
     """Predicted core: alpha = surviving vertex fraction, beta[s] = edges
-    of size s per initial vertex, kappa/mu_hat its density and mean degree.
+    of size s per initial vertex, kappa/mu_hat its density and mean degree
+    (None for an empty core).
     terminated_by is "fixed_point" from `core_fixed_point`, or the event
     that ended `integrate`."""
 
     x_star: float
     alpha: float
     beta: dict
-    kappa: float
-    mu_hat: float
+    kappa: Optional[float]
+    mu_hat: Optional[float]
     terminated_by: str
 
     @property
@@ -268,8 +269,8 @@ def _core_stats(
         x_star=x_star,
         alpha=alpha,
         beta=beta,
-        kappa=demand / alpha if alpha > 0 else 0.0,
-        mu_hat=balls / alpha if alpha > 0 else 0.0,
+        kappa=demand / alpha if alpha > 0 else None,
+        mu_hat=balls / alpha if alpha > 0 else None,
         terminated_by=terminated_by,
     )
 
@@ -502,7 +503,7 @@ class ThresholdResult:
         """The core's mean degree at mu_tilde; None where that core is empty
         (a continuous emergence, where only a limit from above exists)."""
         at = self.stats_at_threshold
-        return None if at is None or at.empty else at.mu_hat
+        return None if at is None else at.mu_hat
 
 
 def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
@@ -533,7 +534,7 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
         x_hi *= 2
         mu_hi = _mean_degree(p, x_hi)
         kappa_hi = _core_at(p, mu_hi, x_hi).kappa
-    if not kappa_lo <= p.k < kappa_hi:
+    if not ((kappa_lo is None or kappa_lo <= p.k) and p.k < kappa_hi):
         raise BracketError(f"core density {kappa_lo} to {kappa_hi} on x in [{x_lo}, "
                            f"{x_hi}] at (h, w, k) = ({p.h}, {p.w}, {p.k})")
     iterations = 0
@@ -550,7 +551,6 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
         iterations += 1
     mu_tilde = mu_c if x_c == 0.0 else 0.5 * (mu_lo + mu_hi)
     stats = core_fixed_point(p, mu_tilde)
-    kappa_lo = None if x_lo == 0.0 else kappa_lo
     return ThresholdResult(mu_tilde, (mu_lo, mu_hi), kappa_lo, kappa_hi, iterations, stats)
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "rancore",
     "extend_orientation",
     "core_statistics",
+    "check_property_T",
 ]
 
 
@@ -55,44 +56,41 @@ class ExtensionConflictError(RuntimeError):
     twice for one edge (only possible when an edge repeats a vertex)."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProcessTrace:
-    """Sampled counts along the randomized peeling process.
+    """The census of the randomized peeling process at its record points.
 
-    Counts are raw; scaled() divides by the initial vertex count.  Sizes are
-    tracked for every admissible residual size h..h-w+1.
+    census has one int64 row [step, HV, A, B_0..B_h, L_0..L_h] per record
+    point, B_s and L_s counting the alive and the light balls in edges of
+    residual size s.  Counts are raw; scaled() divides by the initial
+    vertex count.
     """
 
     n_bar: int
     params: OrientationParams
     stride: int
-    steps: list
-    B: list
-    L: list
-    HV: list
-    A: list
-    B_by_size: dict
-    L_by_size: dict
+    census: np.ndarray
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.params.sizes
+    def steps(self) -> np.ndarray:
+        return self.census[:, 0]
+
+    def counts(self) -> dict[str, np.ndarray]:
+        """The raw census columns under scaled()'s names."""
+        c, h = self.census, self.params.h
+        B, L = c[:, 3 : h + 4], c[:, h + 4 :]
+        out = {"x": c[:, 0], "z_B": B.sum(axis=1), "z_L": L.sum(axis=1),
+               "z_HV": c[:, 1], "z_A": c[:, 2]}
+        for s in self.params.sizes:
+            out[f"z_B_{s}"] = B[:, s]
+            out[f"z_L_{s}"] = L[:, s]
+        return out
 
     def scaled(self) -> dict[str, np.ndarray]:
         scale = 1.0 / self.n_bar
-        out = {
-            "x": np.asarray(self.steps, dtype=float) * scale,
-            "z_B": np.asarray(self.B, dtype=float) * scale,
-            "z_L": np.asarray(self.L, dtype=float) * scale,
-            "z_HV": np.asarray(self.HV, dtype=float) * scale,
-            "z_A": np.asarray(self.A, dtype=float) * scale,
-        }
-        for s in self.sizes:
-            zb = np.asarray(self.B_by_size[s], dtype=float) * scale
-            zl = np.asarray(self.L_by_size[s], dtype=float) * scale
-            out[f"z_B_{s}"] = zb
-            out[f"z_L_{s}"] = zl
-            out[f"z_H_{s}"] = zb - zl
+        out = {name: col * scale for name, col in self.counts().items()}
+        for s in self.params.sizes:
+            out[f"z_H_{s}"] = out[f"z_B_{s}"] - out[f"z_L_{s}"]
         return out
 
 
@@ -125,8 +123,8 @@ class PeelResult:
     core_vertices becomes id i), who got signed for what along the way, and
     what became of each original edge.
 
-    The arrays are the record; the tuple views (``core_vertices``,
-    ``elimination``, ``edge_fate``, ``peel_signs``) are built on first use.
+    The arrays are the record; the tuple views ``core_vertices`` and
+    ``elimination`` are built on first use.
     An elimination step is one removed vertex (deterministic) or one removed
     ball (randomized); every granted sign belongs to one step.
     """
@@ -149,21 +147,6 @@ class PeelResult:
         """(vertex, edge ids it was signed for at that step), in removal order."""
         edges = _groups(self.sign_step, self.sign_edge, len(self.step_vertex))
         return tuple(zip(self.step_vertex.tolist(), edges))
-
-    @cached_property
-    def edge_fate(self) -> tuple[Optional[tuple[int, int]], ...]:
-        """Per original edge: (core edge id, residual size), or None if removed."""
-        alive = self.residual > 0
-        cid = (np.cumsum(alive) - 1).tolist()
-        return tuple(
-            (c, r) if r else None for c, r in zip(cid, self.residual.tolist())
-        )
-
-    @cached_property
-    def peel_signs(self) -> tuple[tuple[int, ...], ...]:
-        """Per original edge: vertices signed during peeling, in grant order."""
-        signed = self.step_vertex[self.sign_step]
-        return tuple(_groups(self.sign_edge, signed, self.source.num_edges))
 
 
 def _harvest(H, in_core, ball_alive, residual, step_vertex, sign_step, sign_edge, trace):
@@ -223,23 +206,11 @@ def _peel_rounds(H: Hypergraph, p: OrientationParams) -> PeelResult:
     )
 
 
-def _record(trace, t, HV, A, Bs, Ls):
-    """Append the census at step t to the trace; B and L are the class sums."""
-    trace.steps.append(t)
-    trace.B.append(sum(Bs))
-    trace.L.append(sum(Ls))
-    trace.HV.append(HV)
-    trace.A.append(A)
-    for s in trace.sizes:
-        trace.B_by_size[s].append(Bs[s])
-        trace.L_by_size[s].append(Ls[s])
-
-
 def _peel_random(
     H: Hypergraph,
     p: OrientationParams,
     rng: np.random.Generator,
-    trace: Optional[ProcessTrace],
+    stride: Optional[int],
 ) -> PeelResult:
     """Randomized one-ball-per-step peel (see the module docstring).
 
@@ -282,9 +253,10 @@ def _peel_random(
 
     t = 0
     mark = -1  # the next step to record
-    if trace is not None:
-        _record(trace, 0, HV, A, Bs, Ls)
-        mark = trace.stride
+    census = []
+    if stride is not None:
+        census.append([0, HV, A, *Bs, *Ls])
+        mark = stride
     while pool:
         for u in rng.random(4096).tolist():
             size = len(pool)
@@ -347,12 +319,15 @@ def _peel_random(
                                 pool_append(c2)
             t += 1
             if t == mark:
-                _record(trace, t, HV, A, Bs, Ls)
-                mark += trace.stride
+                census.append([t, HV, A, *Bs, *Ls])
+                mark += stride
             if not pool:
                 break
-    if trace is not None and t % trace.stride:
-        _record(trace, t, HV, A, Bs, Ls)
+    trace = None
+    if stride is not None:
+        if t % stride:
+            census.append([t, HV, A, *Bs, *Ls])
+        trace = ProcessTrace(H.n, p, stride, np.array(census, dtype=np.int64))
 
     steps = np.asarray(step_ball, dtype=np.int64)
     del step_ball, log  # free the log before the harvest sets peak memory
@@ -389,22 +364,8 @@ def rancore(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("randomized mode needs an rng")
-    tr = None
-    if trace:
-        stride = max(1, -(-H.n // 1000))
-        tr = ProcessTrace(
-            n_bar=H.n,
-            params=p,
-            stride=stride,
-            steps=[],
-            B=[],
-            L=[],
-            HV=[],
-            A=[],
-            B_by_size={s: [] for s in p.sizes},
-            L_by_size={s: [] for s in p.sizes},
-        )
-    return _peel_random(H, p, rng, tr)
+    stride = max(1, -(-H.n // 1000)) if trace else None
+    return _peel_random(H, p, rng, stride)
 
 
 def extend_orientation(
@@ -413,26 +374,30 @@ def extend_orientation(
     """Merge the signs recorded during peeling with a valid orientation of
     the core, giving an orientation of the original hypergraph.
 
-    Raises ExtensionConflictError when some edge would have to sign the same
-    vertex twice (a repeated-vertex edge straddling the peel boundary);
-    such an instance is non-orientable as far as this certificate goes.
+    Raises ExtensionConflictError for the smallest edge the peel signed a
+    vertex twice for: a peeled vertex holding two balls of an edge that
+    still owes two signs collects both (core signs go to core vertices,
+    which never sign while peeling).  Such an instance is non-orientable as
+    far as this certificate goes.
     """
-    if pr.core.num_edges > 0 or len(core_orientation.signs) > 0:
-        ok, reason = verify_orientation(pr.core, core_orientation, p)
+    o = core_orientation
+    if pr.core.num_edges > 0 or len(o.ptr) > 1:
+        ok, reason = verify_orientation(pr.core, o, p)
         if not ok:
             raise ValueError(f"core orientation invalid: {reason}")
-    merged: list[tuple[int, ...]] = []
-    for ei, fate in enumerate(pr.edge_fate):
-        sig = list(pr.peel_signs[ei])
-        if fate is not None:
-            cid, _ = fate
-            sig.extend(pr.core_vertices[r] for r in core_orientation.signs[cid])
-        if len(set(sig)) != len(sig):
-            raise ExtensionConflictError(
-                f"edge {ei} would sign a vertex twice: {sorted(sig)}"
-            )
-        merged.append(tuple(sig))
-    out = Orientation(merged)
+    # (original edge, signed vertex) pairs: the peel's grants, then the core's
+    edge = np.concatenate((pr.sign_edge, np.flatnonzero(pr.residual > 0)[o.row_of]))
+    vert = np.concatenate((pr.step_vertex[pr.sign_step], pr.core_ids[o.verts]))
+    order = np.lexsort((vert, edge))
+    edge, vert = edge[order], vert[order]
+    twice = np.flatnonzero((edge[1:] == edge[:-1]) & (vert[1:] == vert[:-1]))
+    if len(twice):
+        ei = int(edge[twice[0]])
+        raise ExtensionConflictError(
+            f"edge {ei} would sign a vertex twice: {vert[edge == ei].tolist()}"
+        )
+    counts = np.bincount(edge, minlength=pr.source.num_edges)
+    out = Orientation(ptr=np.concatenate(([0], np.cumsum(counts))), verts=vert)
     ok, reason = verify_orientation(pr.source, out, p)
     if not ok:  # pragma: no cover - internal consistency
         raise RuntimeError(f"extension produced an invalid orientation: {reason}")
@@ -462,3 +427,11 @@ def core_statistics(pr: PeelResult, p: OrientationParams) -> CoreStatistics:
         kappa=w_density(core, p),
         mu_hat=core.total_degree / core.n,
     )
+
+
+def check_property_T(H: Hypergraph, p: OrientationParams) -> bool:
+    """True iff the (w, k+1)-core is empty or has w-density <= k."""
+    res = rancore(H, p)
+    if res.core.num_edges == 0 or res.core.n == 0:
+        return True
+    return w_density(res.core, p) <= p.k

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written in the most direct style possible
 (exhaustive enumeration, plain BFS augmenting paths, mpmath series, tuple
-loops) so that agreement with the package is meaningful.  Two entries
+loops) so that agreement with the package is meaningful.  Three entries
 are not references but live here because only tests use them:
 `min_max_indegree`, a binary search that calls the package's flow decider,
-and `sample_uniform_simple`, which draws the simple instances the
-exhaustive deciders are checked on.
+`sample_uniform_simple`, which draws the simple instances the
+exhaustive deciders are checked on, and `peel_views`, the per-edge tuple
+views of a peel's arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from wkorient.flow import orient
 from wkorient.hypergraph import Hypergraph, Orientation, OrientationParams
+from wkorient.peeling import ExtensionConflictError, PeelResult
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +390,39 @@ def fifo_peel(edges, n: int, h: int, w: int, k: int) -> FifoPeel:
         core_vertices, tuple(core_edges), tuple(fate),
         tuple(tuple(s) for s in signs), tuple(elimination),
     )
+
+
+def peel_views(pr: PeelResult) -> tuple[tuple, tuple]:
+    """(edge_fate, peel_signs) of a peel, per original edge: its (core edge
+    id, residual size), or None once removed; and the vertices it signed
+    while peeling, in grant order."""
+    fate, cid = [], 0
+    for r in pr.residual.tolist():
+        fate.append((cid, r) if r else None)
+        cid += r > 0
+    signs = [[] for _ in fate]
+    for ei, v in zip(pr.sign_edge.tolist(), pr.step_vertex[pr.sign_step].tolist()):
+        signs[ei].append(v)
+    return tuple(fate), tuple(tuple(s) for s in signs)
+
+
+def tuple_extend(pr: PeelResult, core_orientation: Orientation) -> Orientation:
+    """Edge by edge: the peel's signs, then the core orientation's signs
+    mapped back to original ids; the first edge that signs a vertex twice
+    raises ExtensionConflictError."""
+    fate, peel_signs = peel_views(pr)
+    core_vertices = pr.core_ids.tolist()
+    merged = []
+    for ei, f in enumerate(fate):
+        sig = list(peel_signs[ei])
+        if f is not None:
+            sig.extend(core_vertices[r] for r in core_orientation.signs[f[0]])
+        if len(set(sig)) != len(sig):
+            raise ExtensionConflictError(
+                f"edge {ei} would sign a vertex twice: {sorted(sig)}"
+            )
+        merged.append(tuple(sig))
+    return Orientation(merged)
 
 
 # ---------------------------------------------------------------------------

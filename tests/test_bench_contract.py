@@ -10,9 +10,12 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -132,3 +135,12 @@ def test_traced_rate_solve_sits_under_both_ode_entry_points():
         for caller in ancestors(idx)
     }
     assert {"ode.integrate", "ode.trajectory_vs_trace"} <= callers
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_small_runs_pass_the_benchmark_checks(name, tmp_path):
+    # each workload reads result attributes (core, trace, elimination ...)
+    # that a refactor could rename without failing any other test here
+    wl = workloads.make(name, tmp_path, n=3000)
+    tally, _ = run.measure(wl, seed=3, seconds=0.0, expected={})
+    assert tally.failed == 0, tally.failures

@@ -24,13 +24,13 @@ from wkorient.hypergraph import (
     Hypergraph,
     Orientation,
     OrientationParams,
-    check_property_T,
     read_hypergraph,
     verify_orientation,
     w_density,
     w_induced_subgraph,
     write_hypergraph,
 )
+from wkorient.peeling import check_property_T
 
 # a, b, c, ... = 0, 1, 2, ... in the examples below.
 P32 = OrientationParams(3, 2, 2)

@@ -116,7 +116,7 @@ def test_strongly_subcritical_core_vanishes():
     _, stats = _solve(P324, 4.5)
     assert stats.empty
     assert stats.terminated_by == "mu_floor"
-    assert stats.kappa == 0.0 and stats.mu_hat == 0.0
+    assert stats.kappa is None and stats.mu_hat is None
 
 
 def test_monotone_sample_columns():
@@ -233,7 +233,7 @@ def test_fixed_point_underflow_reads_as_empty_core():
     for mu_bar in (4.5, 1e-3):
         stats = core_fixed_point(P324, mu_bar)
         assert stats.empty
-        assert stats.kappa == 0.0 and stats.mu_hat == 0.0
+        assert stats.kappa is None and stats.mu_hat is None
         assert set(stats.beta.values()) == {0.0}
 
 
@@ -305,7 +305,7 @@ def test_fixed_point_is_empty_below_emergence(hwk):
     below = [0.5 * mu_c, mu_c * (1 - 1e-9)]
     for mu_bar in below + ([mu_c] if hwk in CONTINUOUS else []):
         stats = core_fixed_point(p, mu_bar)
-        assert stats.empty and stats.kappa == 0.0 and stats.mu_hat == 0.0
+        assert stats.empty and stats.kappa is None and stats.mu_hat is None
         assert set(stats.beta.values()) == {0.0}
         assert stats.x_star == pytest.approx(p.w * mu_bar / p.h, rel=1e-15)
 

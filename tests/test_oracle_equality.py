@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dict_orient, fifo_peel, tuple_network
+from oracles import dict_orient, fifo_peel, peel_views, tuple_network
 from wkorient.flow import CutWitness, build_network, orient
 from wkorient.hypergraph import Hypergraph, Orientation, OrientationParams
 from wkorient.models import RngSeed, sample_uniform_multi
@@ -36,25 +36,26 @@ def test_round_parallel_peel_matches_fifo_peel(inst):
     H, p = inst
     pr = rancore(H, p)
     want = fifo_peel(H.edges, H.n, p.h, p.w, p.k)
+    edge_fate, peel_signs = peel_views(pr)
     assert pr.core_vertices == want.core_vertices
     assert pr.core.edges == want.core_edges
-    assert pr.edge_fate == want.edge_fate
+    assert edge_fate == want.edge_fate
     # the same vertices leave and every edge grants the same number of
     # signs; only who signs within a round may differ
     assert sorted(v for v, _ in pr.elimination) == sorted(v for v, _ in want.elimination)
-    assert [len(s) for s in pr.peel_signs] == [len(s) for s in want.peel_signs]
+    assert [len(s) for s in peel_signs] == [len(s) for s in want.peel_signs]
     per_vertex = Counter()
-    for ei, signed in enumerate(pr.peel_signs):
+    for ei, signed in enumerate(peel_signs):
         per_vertex.update(signed)
         assert Counter(signed) <= Counter(H.edges[ei])  # signs sit on own balls
         demand = p.sign_demand(len(H.edges[ei]))
-        if pr.edge_fate[ei] is None:
+        if edge_fate[ei] is None:
             assert len(signed) == demand
         else:
-            assert len(signed) == len(H.edges[ei]) - pr.edge_fate[ei][1]
+            assert len(signed) == len(H.edges[ei]) - edge_fate[ei][1]
     assert all(got <= p.k for got in per_vertex.values())
     granted = Counter(e for _, edges in pr.elimination for e in edges)
-    assert granted == Counter({ei: len(s) for ei, s in enumerate(pr.peel_signs) if s})
+    assert granted == Counter({ei: len(s) for ei, s in enumerate(peel_signs) if s})
 
 
 @given(multi_instances())

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_core
+from oracles import brute_force_core, peel_views, tuple_extend
+from wkorient.flow import orient
 from wkorient.hypergraph import (
     Hypergraph,
     Orientation,
@@ -51,7 +52,7 @@ def peel_instances(draw, max_n=9, max_m=8, simple_edges=False):
 def test_single_edge_peels_to_nothing():
     pr = rancore(Hypergraph(3, [(0, 1, 2)]), P322)
     assert pr.core.n == 0 and pr.core.num_edges == 0
-    assert pr.edge_fate == (None,)
+    assert peel_views(pr)[0] == (None,)
     assert sorted(v for v, _ in pr.elimination) == [0, 1, 2]
     stats = core_statistics(pr, P322)
     assert (stats.n_core, stats.m_core, stats.kappa, stats.mu_hat) == (0, {}, None, None)
@@ -76,8 +77,9 @@ def test_partial_peel_keeps_residual_sizes():
     pr = rancore(H, P322)
     assert pr.core_vertices == (0, 1, 2)
     assert sorted(pr.core.edge_size_counts().items()) == [(2, 1), (3, 3)]
-    assert pr.edge_fate[3] is not None
-    assert pr.edge_fate[3][1] == 2  # residual size after losing d's ball
+    fate = peel_views(pr)[0]
+    assert fate[3] is not None
+    assert fate[3][1] == 2  # residual size after losing d's ball
 
 
 @given(peel_instances())
@@ -88,7 +90,7 @@ def test_modes_produce_identical_cores(inst):
     ran = rancore(H, p, mode="randomized", rng=RngSeed(0).generator())
     assert det.core == ran.core
     assert det.core_vertices == ran.core_vertices
-    assert det.edge_fate == ran.edge_fate
+    assert peel_views(det)[0] == peel_views(ran)[0]
 
 
 @given(peel_instances(max_n=8, max_m=6))
@@ -138,14 +140,15 @@ def test_core_grows_with_extra_edges(inst, data):
 def test_peel_signs_respect_capacity_and_demand(inst):
     H, p = inst
     pr = rancore(H, p)
+    fate, peel_signs = peel_views(pr)
     per_vertex = Counter()
-    for ei, signed in enumerate(pr.peel_signs):
+    for ei, signed in enumerate(peel_signs):
         per_vertex.update(signed)
         demand = p.sign_demand(len(H.edges[ei]))
-        if pr.edge_fate[ei] is None:
+        if fate[ei] is None:
             assert len(signed) == demand  # fully peeled: all signs granted
         else:
-            residual = pr.edge_fate[ei][1]
+            residual = fate[ei][1]
             assert len(signed) == len(H.edges[ei]) - residual
     for v, got in per_vertex.items():
         assert got <= p.k  # only light vertices ever receive signs
@@ -169,6 +172,34 @@ def test_extension_conflict_on_repeated_vertex_edge():
     assert pr.core.num_edges == 0
     with pytest.raises(ExtensionConflictError):
         extend_orientation(pr, Orientation([]), P322)
+    # two such edges: the smaller one is named, although sorting by vertex
+    # would meet edge 1's conflict on vertex 0 first
+    pr = rancore(Hypergraph(4, [(2, 2, 3), (0, 0, 1)]), P322)
+    with pytest.raises(ExtensionConflictError) as err:
+        extend_orientation(pr, Orientation([]), P322)
+    assert str(err.value) == "edge 0 would sign a vertex twice: [2, 2]"
+
+
+@given(peel_instances(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_extension_matches_the_per_edge_merge(inst, randomized):
+    H, p = inst
+    if randomized:
+        pr = rancore(H, p, mode="randomized", rng=RngSeed(0).generator())
+    else:
+        pr = rancore(H, p)
+    core_o = orient(pr.core, p)
+    if not isinstance(core_o, Orientation):
+        return  # no core orientation to extend
+    try:
+        want = tuple_extend(pr, core_o)
+    except ExtensionConflictError as exc:
+        with pytest.raises(ExtensionConflictError) as err:
+            extend_orientation(pr, core_o, p)
+        assert str(err.value) == str(exc)
+        return
+    got = extend_orientation(pr, core_o, p)
+    assert np.array_equal(got.ptr, want.ptr) and np.array_equal(got.verts, want.verts)
 
 
 def test_extension_rejects_invalid_core_orientation():
@@ -200,13 +231,15 @@ def test_trace_gating():
 def test_trace_initial_census():
     H = Hypergraph(4, [(0, 1, 2), (0, 1, 2), (0, 1, 3), (1, 2, 3)])
     tr = _traced(H, P322)
+    c = tr.counts()
+    assert tr.census.shape == (len(tr.steps), 2 * P322.h + 5)
     assert tr.steps[0] == 0
-    assert tr.B[0] == H.total_degree
+    assert c["z_B"][0] == H.total_degree
     # degrees: a=3, b=4, c=3, d=2 -> d alone is light, holding 2 balls
-    assert tr.HV[0] == 3
-    assert tr.L[0] == 2
-    assert tr.B_by_size == {3: tr.B_by_size[3], 2: tr.B_by_size[2]}
-    assert tr.B_by_size[3][0] == 12 and tr.B_by_size[2][0] == 0
+    assert c["z_HV"][0] == 3
+    assert c["z_L"][0] == 2
+    assert sorted(name for name in c if name.startswith("z_B_")) == ["z_B_2", "z_B_3"]
+    assert c["z_B_3"][0] == 12 and c["z_B_2"][0] == 0
 
 
 def test_trace_one_ball_per_step():
@@ -215,8 +248,8 @@ def test_trace_one_ball_per_step():
     )
     tr = _traced(H, P322, seed=4)
     assert tr.stride == 1
-    b = np.asarray(tr.B)
-    t = np.asarray(tr.steps)
+    b = tr.counts()["z_B"]
+    t = tr.steps
     assert (np.diff(t) == 1).all()
     assert (np.diff(b) == -1).all()  # every step recolours exactly one ball
 
@@ -226,17 +259,16 @@ def test_trace_census_identities():
         25, [tuple(sorted(np.random.default_rng(9).integers(0, 25, 3))) for _ in range(35)]
     )
     tr = _traced(H, P322, seed=6)
-    B = np.asarray(tr.B)
-    L = np.asarray(tr.L)
-    HV = np.asarray(tr.HV)
-    by_size = np.sum([tr.B_by_size[s] for s in tr.sizes], axis=0)
-    light_by_size = np.sum([tr.L_by_size[s] for s in tr.sizes], axis=0)
+    c = tr.counts()
+    B, L, HV = c["z_B"], c["z_L"], c["z_HV"]
+    by_size = np.sum([c[f"z_B_{s}"] for s in P322.sizes], axis=0)
+    light_by_size = np.sum([c[f"z_L_{s}"] for s in P322.sizes], axis=0)
     assert (B == by_size).all()
     assert (L == light_by_size).all()
     assert ((0 <= L) & (L <= B)).all()
     assert (np.diff(HV) <= 0).all()  # heavy vertices only ever turn light
-    for s in tr.sizes:
-        heavy = np.asarray(tr.B_by_size[s]) - np.asarray(tr.L_by_size[s])
+    for s in P322.sizes:
+        heavy = c[f"z_B_{s}"] - c[f"z_L_{s}"]
         assert (heavy >= 0).all()
 
 
@@ -253,15 +285,15 @@ def _assert_final_census_is_the_core(H, p, seed):
     # the pool is empty at the last record, so what the census still counts
     # is exactly the core: recount it from the core's arrays
     pr = rancore(H, p, mode="randomized", rng=RngSeed(seed).generator(), trace=True)
-    tr, core = pr.trace, pr.core
+    c, core = pr.trace.counts(), pr.core
     deg = np.bincount(core.verts, minlength=core.n)
     edges_of_size = np.bincount(core.sizes, minlength=p.h + 1)
-    assert tr.L[-1] == 0
-    assert tr.B[-1] == core.total_degree
-    assert tr.HV[-1] == core.n
-    assert tr.A[-1] == np.count_nonzero(deg == p.k + 1)
-    for s in tr.sizes:
-        assert tr.B_by_size[s][-1] == s * edges_of_size[s]
+    assert c["z_L"][-1] == 0
+    assert c["z_B"][-1] == core.total_degree
+    assert c["z_HV"][-1] == core.n
+    assert c["z_A"][-1] == np.count_nonzero(deg == p.k + 1)
+    for s in p.sizes:
+        assert c[f"z_B_{s}"][-1] == s * edges_of_size[s]
 
 
 @pytest.mark.parametrize("hwk,mu,seed", SEEDED)
@@ -286,8 +318,7 @@ def test_trace_leaves_the_rng_path_alone(hwk, mu, seed):
     )
     assert plain.trace is None
     assert plain.elimination == traced.elimination
-    assert plain.peel_signs == traced.peel_signs
-    assert plain.edge_fate == traced.edge_fate
+    assert peel_views(plain) == peel_views(traced)
     assert plain.core == traced.core
 
 
@@ -322,12 +353,13 @@ def _randomized_peel_digest(p, mu, seed, n=2000):
 
     H = sample_uniform_multi(n, round(mu * n / p.h), p.h, RngSeed(seed).generator())
     pr = rancore(H, p, mode="randomized", rng=RngSeed(seed, 1).generator(), trace=True)
+    edge_fate, peel_signs = peel_views(pr)
     doc = [
         [[v, list(edges)] for v, edges in pr.elimination],
-        [list(s) for s in pr.peel_signs],
+        [list(s) for s in peel_signs],
         list(pr.core_vertices),
         [list(e) for e in pr.core.edges],
-        [None if f is None else list(f) for f in pr.edge_fate],
+        [None if f is None else list(f) for f in edge_fate],
     ]
     digest = hashlib.sha256(json.dumps(doc).encode())
     scaled = pr.trace.scaled()
