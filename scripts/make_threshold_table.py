@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     triples = args.triple or [(h, w, k) for h, w, k, _, _ in TABLE1_REFERENCE]
     rows = []
     print(f"{'h':>3} {'w':>3} {'k':>3} {'mu_tilde':>12} {'mu_hat':>12} "
-          f"{'hk/w':>10} {'seconds':>8}")
+          f"{'hk/w':>10} {'ms':>8}")
     for h, w, k in triples:
         p = OrientationParams(h, w, k)
         t0 = time.perf_counter()
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
         rows.append((h, w, k, res.mu_tilde, res.mu_hat))
         mu_hat = "" if res.mu_hat is None else f"{res.mu_hat:.6f}"
         print(f"{h:>3} {w:>3} {k:>3} {res.mu_tilde:>12.6f} "
-              f"{mu_hat:>12} {h * k / w:>10.4f} {dt:>8.2f}")
+              f"{mu_hat:>12} {h * k / w:>10.4f} {dt * 1e3:>8.2f}")
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -263,16 +263,13 @@ def _core_stats(
     fraction and the edges per size; no beta is the empty core."""
     if beta is None:
         beta = dict.fromkeys(p.sizes, 0.0)
-    demand = sum(p.sign_demand(s) * b for s, b in beta.items())
-    balls = sum(s * b for s, b in beta.items())
-    return CoreStats(
-        x_star=x_star,
-        alpha=alpha,
-        beta=beta,
-        kappa=demand / alpha if alpha > 0 else None,
-        mu_hat=balls / alpha if alpha > 0 else None,
-        terminated_by=terminated_by,
-    )
+    mu_hat = sum(s * b for s, b in beta.items()) / alpha if alpha > 0 else None
+    return CoreStats(x_star, alpha, beta, _kappa(p, beta, alpha), mu_hat, terminated_by)
+
+
+def _kappa(p: OrientationParams, beta: dict, alpha: float) -> Optional[float]:
+    """Core density: the signs its edges owe per core vertex (None: empty)."""
+    return sum(p.sign_demand(s) * b for s, b in beta.items()) / alpha if alpha > 0 else None
 
 
 def _read_states(p: OrientationParams, y: np.ndarray) -> dict[str, np.ndarray]:
@@ -412,31 +409,41 @@ def integrate(params: OdeParams) -> tuple[Trajectory, CoreStats]:
     return traj, _stats_from_state(p, x_star, y_star, terminated_by)
 
 
-def _mean_degree(p: OrientationParams, x: float) -> float:
-    """mu(x) = x / r(q(x)); at x = 0 its limit, 1/(h-1) where k(h-w) = 1
-    (r ~ (h-1) x there) and inf elsewhere; inf also where r underflows."""
+def _mean_degree(p: OrientationParams, x: float, q: Optional[float] = None) -> float:
+    """mu(x) = x / r(q), q = q(x) unless given; at x = 0 its limit, 1/(h-1)
+    where k(h-w) = 1 (r ~ (h-1) x there), else inf; inf where r underflows."""
     h, w, k = p.h, p.w, p.k
-    r = float(special.bdtrc(h - w - 1, h - 1, special.gammainc(k, x)))
+    r = float(special.bdtrc(h - w - 1, h - 1, special.gammainc(k, x) if q is None else q))
     if r > 0.0:
         return x / r
     return 1.0 / (h - 1) if x == 0.0 and k * (h - w) == 1 else math.inf
 
 
+def _beta(p: OrientationParams, mu_bar: float, q: float) -> dict:
+    h, edges = p.h, mu_bar / p.h
+    return {s: edges * math.comb(h, s) * q**s * (1.0 - q) ** (h - s) for s in p.sizes}
+
+
+def _mean_degree_and_kappa(p: OrientationParams, x: float) -> tuple[float, Optional[float]]:
+    """`_mean_degree(p, x)` and the density of `_core_at` there, off one q."""
+    q = float(special.gammainc(p.k, x))
+    mu = _mean_degree(p, x, q)
+    return mu, _kappa(p, _beta(p, mu, q), float(special.gammainc(p.k + 1, x)))
+
+
 def _core_at(p: OrientationParams, mu_bar: float, x: float) -> CoreStats:
     """The core at mean degree mu_bar and rate x (x = 0: the empty core).
     A core edge of size s has s surviving vertices: beta[s] = (mu_bar/h)
-    P(Bin(h, q) = s) for s >= h-w+1.  x_star counts the signs granted on
-    the way (w per dead edge, h-s per surviving one), matching `integrate`'s
-    x at its z_L ending."""
+    P(Bin(h, q) = s) for s >= h-w+1 (`_beta`).  x_star counts the signs
+    granted on the way (w per dead edge, h-s per surviving one), matching
+    `integrate`'s x at its z_L ending."""
     h, w, k = p.h, p.w, p.k
     q = float(special.gammainc(k, x))
-    edges = mu_bar / h
-    beta = {s: edges * math.comb(h, s) * q**s * (1.0 - q) ** (h - s) for s in p.sizes}
-    x_star = edges * w * float(special.bdtr(h - w, h, q)) + sum(
+    beta = _beta(p, mu_bar, q)
+    x_star = mu_bar / h * w * float(special.bdtr(h - w, h, q)) + sum(
         (h - s) * b for s, b in beta.items()
     )
-    alpha = float(special.gammainc(k + 1, x))
-    return _core_stats(p, x_star, "fixed_point", alpha, beta)
+    return _core_stats(p, x_star, "fixed_point", float(special.gammainc(k + 1, x)), beta)
 
 
 def core_emergence(p: OrientationParams) -> tuple[float, float]:
@@ -476,7 +483,11 @@ def core_fixed_point(p: OrientationParams, mu_bar: float) -> CoreStats:
     """
     if not (math.isfinite(mu_bar) and mu_bar > 0):
         raise DomainError(f"mu_bar must be positive and finite, got {mu_bar}")
-    x_c, mu_c = core_emergence(p)
+    return _fixed_point(p, mu_bar, *core_emergence(p))
+
+
+def _fixed_point(p: OrientationParams, mu_bar: float, x_c: float, mu_c: float) -> CoreStats:
+    """`core_fixed_point` at a valid mu_bar, given the emergence."""
     if mu_bar < mu_c:
         return _core_at(p, mu_bar, 0.0)
 
@@ -491,6 +502,13 @@ def core_fixed_point(p: OrientationParams, mu_bar: float) -> CoreStats:
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """mu_tilde: the mean degree at which the core density crosses k.
+    bracket: the mean degrees (mu_lo, mu_hi) at the bisection's x ends.
+    kappa_lo: the core density at the low end; None at an empty low end.
+    kappa_hi: the core density at the high end, above k.
+    iterations: bisection steps, which perfbench sums as `ode.bisect_iters`.
+    stats_at_threshold: the core at mu_tilde (`find_threshold`)."""
+
     mu_tilde: float
     bracket: tuple[float, float]
     kappa_lo: Optional[float]
@@ -517,8 +535,9 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
     density there rounds to k, and the upper end moves once to 2hk/w,
     where the same argument gives at least 2k.  A core emerging
     continuously (x_c = 0) has density k at mu_c, the threshold then;
-    otherwise mu_tilde is the bracket's midpoint.  kappa_lo is None where
-    the bracket's low end is that empty core, whose density is 0/0.
+    otherwise mu_tilde is the bracket's midpoint.  Emergence is solved once
+    per call, each end and bisection point reads mu and kappa off one q(x),
+    and the one CoreStats built is the core at mu_tilde.
 
     Raises ValueError unless 0 < tol < inf, and BracketError naming
     (h, w, k) when kappa - k does not change sign on that bracket.
@@ -527,13 +546,11 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     x_c, mu_c = core_emergence(p)
     x_lo, x_hi = x_c, p.h * p.k / p.w
-    mu_lo, mu_hi = mu_c, _mean_degree(p, x_hi)
-    kappa_lo = _core_at(p, mu_lo, x_lo).kappa
-    kappa_hi = _core_at(p, mu_hi, x_hi).kappa
+    mu_lo, kappa_lo = _mean_degree_and_kappa(p, x_lo)
+    mu_hi, kappa_hi = _mean_degree_and_kappa(p, x_hi)
     if kappa_hi <= p.k:
         x_hi *= 2
-        mu_hi = _mean_degree(p, x_hi)
-        kappa_hi = _core_at(p, mu_hi, x_hi).kappa
+        mu_hi, kappa_hi = _mean_degree_and_kappa(p, x_hi)
     if not ((kappa_lo is None or kappa_lo <= p.k) and p.k < kappa_hi):
         raise BracketError(f"core density {kappa_lo} to {kappa_hi} on x in [{x_lo}, "
                            f"{x_hi}] at (h, w, k) = ({p.h}, {p.w}, {p.k})")
@@ -542,15 +559,14 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
         x = 0.5 * (x_lo + x_hi)
         if x in (x_lo, x_hi):
             break
-        mu_x = _mean_degree(p, x)
-        kappa_x = _core_at(p, mu_x, x).kappa
+        mu_x, kappa_x = _mean_degree_and_kappa(p, x)
         if kappa_x <= p.k:
             x_lo, mu_lo, kappa_lo = x, mu_x, kappa_x
         else:
             x_hi, mu_hi, kappa_hi = x, mu_x, kappa_x
         iterations += 1
     mu_tilde = mu_c if x_c == 0.0 else 0.5 * (mu_lo + mu_hi)
-    stats = core_fixed_point(p, mu_tilde)
+    stats = _fixed_point(p, mu_tilde, x_c, mu_c)
     return ThresholdResult(mu_tilde, (mu_lo, mu_hi), kappa_lo, kappa_hi, iterations, stats)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "poisson_tail_complement",
     "log_poisson_tail",
     "solve_lambda",
+    "LambdaSolveError",
     "truncated_mean_from_rate",
     "truncated_poisson_pmf",
     "heavy_bucket_fraction",
@@ -132,6 +133,10 @@ def _mean_and_slope(lam: float, k: int) -> tuple[float, float]:
     return lam + k / t, (1.0 if t > 1e150 else 1.0 - k * dt / (t * t))
 
 
+class LambdaSolveError(RuntimeError):
+    """`solve_lambda` ended with a residual above its 1e-12 mu bound."""
+
+
 def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:
     """Invert the truncated mean: the unique lam with
 
@@ -142,7 +147,7 @@ def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:
     solution exists iff mu > k+1.
 
     Bracketed Newton on the mean (bisection fallback); `x0` warm-starts the
-    iteration.  Residual of the defining identity is <= 1e-12 * mu.
+    iteration.  A residual above 1e-12 * mu raises LambdaSolveError.
     """
     if mu <= k + 1:
         raise ValueError(
@@ -167,6 +172,8 @@ def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:
         if ynew == y:
             break
         y = ynew
+    if not abs(err) <= 1e-12 * mu:
+        raise LambdaSolveError(f"no rate for mean {mu} at k = {k}: residual {err}")
     return y
 
 

@@ -350,6 +350,106 @@ def test_threshold_within_float_noise_of_the_counting_bound(hwk, mu_tilde):
         assert res.mu_tilde == pytest.approx(mu_tilde, rel=1e-12)
 
 
+def _reference_threshold(p, tol):
+    """`find_threshold` as it was before it shared work: emergence solved
+    a second time by its closing `core_fixed_point`, and a full core built
+    at each end and bisection point.  The solve must equal it bit for bit."""
+    x_c, mu_c = ode.core_emergence(p)
+    x_lo, x_hi = x_c, p.h * p.k / p.w
+    mu_lo, mu_hi = mu_c, ode._mean_degree(p, x_hi)
+    kappa_lo = ode._core_at(p, mu_lo, x_lo).kappa
+    kappa_hi = ode._core_at(p, mu_hi, x_hi).kappa
+    if kappa_hi <= p.k:
+        x_hi *= 2
+        mu_hi = ode._mean_degree(p, x_hi)
+        kappa_hi = ode._core_at(p, mu_hi, x_hi).kappa
+    if not ((kappa_lo is None or kappa_lo <= p.k) and p.k < kappa_hi):
+        raise BracketError(f"core density {kappa_lo} to {kappa_hi} on x in [{x_lo}, "
+                           f"{x_hi}] at (h, w, k) = ({p.h}, {p.w}, {p.k})")
+    iterations = 0
+    while mu_hi - mu_lo > tol:
+        x = 0.5 * (x_lo + x_hi)
+        if x in (x_lo, x_hi):
+            break
+        mu_x = ode._mean_degree(p, x)
+        kappa_x = ode._core_at(p, mu_x, x).kappa
+        if kappa_x <= p.k:
+            x_lo, mu_lo, kappa_lo = x, mu_x, kappa_x
+        else:
+            x_hi, mu_hi, kappa_hi = x, mu_x, kappa_x
+        iterations += 1
+    mu_tilde = mu_c if x_c == 0.0 else 0.5 * (mu_lo + mu_hi)
+    stats = core_fixed_point(p, mu_tilde)
+    return ode.ThresholdResult(mu_tilde, (mu_lo, mu_hi), kappa_lo, kappa_hi, iterations, stats)
+
+
+def _outcome(solve, p, tol) -> str:
+    try:
+        return repr(solve(p, tol))
+    except BracketError as exc:
+        return f"BracketError: {exc}"
+
+
+def test_threshold_equals_the_reference_bit_for_bit():
+    # every (h, w) with h <= 10, across k and tol, and (20, 1, 5), whose
+    # upper end moves to 2hk/w
+    triples = [(h, w, k) for h in range(2, 11) for w in range(1, h)
+               for k in (1, 2, 3, 4, 5, 7, 10, 40)] + [(20, 1, 5)]
+    for hwk in triples:
+        p = OrientationParams(*hwk)
+        for tol in (1e-3, 1e-4, 1e-7):
+            assert _outcome(find_threshold, p, tol) == _outcome(_reference_threshold, p, tol), (
+                hwk, tol)
+
+
+def test_threshold_bracket_errors_keep_their_messages(monkeypatch):
+    # the two sign-change failures of test_a_solve_without_a_sign_change_names_the_point
+    monkeypatch.setattr(ode, "core_emergence", lambda p: (10.0, 1.0))
+    with pytest.raises(BracketError) as got:
+        core_fixed_point(P324, 5.0)
+    assert str(got.value) == "mu(x) = 5.0 has no root on x in [10.0, 5.0] at (h, w, k) = (3, 2, 4)"
+    monkeypatch.setattr(ode, "core_emergence", lambda p: (6.0, ode._mean_degree(p, 6.0)))
+    assert _outcome(find_threshold, P324, 1e-4) == _outcome(_reference_threshold, P324, 1e-4)
+    assert _outcome(find_threshold, P324, 1e-4).startswith("BracketError: core density ")
+
+
+def test_threshold_solves_emergence_once_and_builds_one_core(monkeypatch):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("core_emergence", "_core_at", "CoreStats"):
+        monkeypatch.setattr(ode, name, counted(name, getattr(ode, name)))
+    for hwk in [*EMERGENCE, *CONTINUOUS, (20, 1, 5)]:
+        calls.clear()
+        res = find_threshold(OrientationParams(*hwk))
+        assert calls == {"core_emergence": 1, "_core_at": 1, "CoreStats": 1}, hwk
+        assert res.stats_at_threshold is not None
+
+
+def test_bisection_point_reads_mean_degree_and_density_bit_for_bit():
+    def same(p, x):
+        mu, kappa = ode._mean_degree_and_kappa(p, x)
+        assert repr(mu) == repr(ode._mean_degree(p, x)), (p, x)
+        assert repr(kappa) == repr(ode._core_at(p, mu, x).kappa), (p, x)
+        return kappa
+
+    for h, w, k in CONTINUOUS:
+        assert same(OrientationParams(h, w, k), 0.0) is None
+    for hwk in [*EMERGENCE, *CONTINUOUS, (20, 1, 5)]:
+        p = OrientationParams(*hwk)
+        same(p, p.h * p.k / p.w)
+        same(p, 2 * p.h * p.k / p.w)
+    for hwk in EMERGENCE:
+        p = OrientationParams(*hwk)
+        for x in np.linspace(0.0, 2 * p.h * p.k / p.w, 401)[1:]:
+            same(p, float(x))
+
+
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
 def test_continuous_emergence_is_the_threshold(tol):
     # k(h-w) = 1: the core grows from nothing at density k, so the density

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import f_k_mp, solve_lambda_mp, truncated_mean_mp
+import wkorient.poisson as poisson
 from wkorient.poisson import (
+    LambdaSolveError,
     heavy_bucket_fraction,
     initial_conditions,
     poisson_tail,
@@ -121,6 +123,14 @@ def test_solve_lambda_residual():
         lam = solve_lambda(mu, k)
         resid = lam * poisson_tail(k, lam) - mu * poisson_tail(k + 1, lam)
         assert abs(resid) <= 1e-12 * mu
+
+
+def test_solve_lambda_raises_on_a_residual_above_its_bound(monkeypatch):
+    # a nan mean compares false both ways: the loop bisects up to mu and
+    # would return it as the rate
+    monkeypatch.setattr(poisson, "_mean_and_slope", lambda lam, k: (math.nan, math.nan))
+    with pytest.raises(LambdaSolveError, match=r"mean 6\.0 at k = 4: residual nan"):
+        solve_lambda(6.0, 4)
 
 
 def test_solve_lambda_gap_at_k40():

@@ -43,6 +43,14 @@ def test_make_threshold_table_leaves_an_open_mu_hat_empty(tmp_path, capsys):
     assert (row["mu_tilde"], row["mu_hat"]) == ("1.0", "")
 
 
+def test_make_threshold_table_times_each_solve_in_milliseconds(capsys):
+    # a solve takes well under a millisecond: seconds would print 0.00
+    assert _load("make_threshold_table").main(["--triple", "3,2,4"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["h", "w", "k", "mu_tilde", "mu_hat", "hk/w", "ms"]
+    assert float(row.split()[-1]) > 0.0
+
+
 def test_make_threshold_table_rejects_a_nonpositive_tolerance(capsys):
     with pytest.raises(SystemExit):
         _load("make_threshold_table").main(["--tol", "0"])
