@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -124,7 +123,8 @@ class TrialRecord:
     """One sampled instance: core statistics plus the orientability verdict
     (None when the trial didn't ask for one).  ``seconds`` and ``timings``
     (wall seconds per stage: sample, peel, stats, orient) stay out of the
-    persisted tables so equal seeds give equal bytes; ``degree_counts``
+    persisted tables and of ``==``, so equal seeds give equal bytes and
+    equal records; ``degree_counts``
     (core degree histogram, index = degree) is an aggregation aid and stays
     out of them too.  An empty core has no density or mean degree (None)."""
 
@@ -136,7 +136,7 @@ class TrialRecord:
     kappa: Optional[float]
     mu_hat: Optional[float]
     orientable: Optional[bool]
-    seconds: float
+    seconds: float = dataclasses.field(compare=False)
     degree_counts: tuple = ()
     timings: dict = dataclasses.field(default_factory=dict, compare=False)
 
@@ -159,18 +159,12 @@ def run_trial(cfg: ExperimentConfig, trial: int, stream: int) -> TrialRecord:
     lap("peel")
     st = core_statistics(pr, p)
     core = pr.core
-    if core.n:
-        degrees = np.bincount(core.verts, minlength=core.n)
-        degree_counts = tuple(np.bincount(degrees).tolist())
-    else:
-        degree_counts = ()
+    degrees = np.bincount(core.verts, minlength=core.n)
+    degree_counts = tuple(np.bincount(degrees).tolist())
     lap("stats")
     orientable: Optional[bool] = None
     if cfg.check_orientability:
-        if core.num_edges == 0:
-            orientable = True
-        else:
-            orientable = isinstance(orient(core, p), Orientation)
+        orientable = isinstance(orient(core, p), Orientation)
     lap("orient")
     return TrialRecord(
         mu_bar=cfg.mu_bar,
@@ -375,10 +369,10 @@ def hitting_load(
         return rancore(prefix, p).core
 
     def dense(c: Hypergraph) -> bool:
-        return c.n > 0 and w_density(c, p) > p.k
+        return int(c.sign_demands(p).sum()) > p.k * c.n
 
     def fails(c: Hypergraph) -> bool:
-        return dense(c) or (c.num_edges > 0 and not isinstance(orient(c, p), Orientation))
+        return dense(c) or not isinstance(orient(c, p), Orientation)
 
     def last_pass(hi: int, failing) -> tuple[int, Hypergraph]:
         """The last prefix below hi whose core passes, and that core, given
@@ -427,10 +421,7 @@ def _pool_degree_histogram(records: Sequence[TrialRecord]) -> np.ndarray:
     width = max((len(r.degree_counts) for r in records), default=0)
     counts = np.zeros(width, dtype=np.int64)
     for r in records:
-        if r.degree_counts:
-            counts[: len(r.degree_counts)] += np.asarray(
-                r.degree_counts, dtype=np.int64
-            )
+        counts[: len(r.degree_counts)] += np.asarray(r.degree_counts, dtype=np.int64)
     return counts
 
 
@@ -439,9 +430,9 @@ def _truncated_poisson_chi2(
 ) -> tuple[Optional[float], Optional[float], Optional[int]]:
     """Pearson chi-square, p-value and dof of a degree histogram against the
     truncated Poisson fitted to its mean (one more lost dof); None below 3 cells."""
-    total = int(counts.sum())
-    if total == 0 or counts.size <= k + 3:
+    if counts.size <= k + 3:
         return None, None, None
+    total = int(counts.sum())
     degrees = np.arange(counts.size)
     mean = float((degrees * counts).sum()) / total
     lam = solve_lambda(mean, k)  # rate whose >=k+1 truncation has this mean
@@ -483,20 +474,17 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
     mean_kappa = float(np.mean([r.kappa for r in nonempty])) if nonempty else None
     mean_mu_hat = float(np.mean([r.mu_hat for r in nonempty])) if nonempty else None
 
-    def rel(emp: Optional[float], ref: float) -> Optional[float]:
-        return None if emp is None else abs(emp - ref) / max(abs(ref), 1e-12)
+    def rel(emp: Optional[float], ref: Optional[float]) -> Optional[float]:
+        # undefined where either side is, or where the prediction is 0
+        return None if emp is None or not ref else abs(emp - ref) / abs(ref)
 
-    if not prediction.empty:
-        deviations = {
-            "alpha": rel(mean_alpha, prediction.alpha),
-            "kappa": rel(mean_kappa, prediction.kappa),
-            "mu_hat": rel(mean_mu_hat, prediction.mu_hat),
-        }
-        for s in sizes:
-            deviations[f"beta_{s}"] = rel(mean_beta[s], prediction.beta.get(s, 0.0))
-    else:
-        # empty-core regime: report the absolute leftovers
-        deviations = {"alpha": mean_alpha, "kappa": mean_kappa, "mu_hat": mean_mu_hat}
+    deviations = {
+        "alpha": rel(mean_alpha, prediction.alpha),
+        "kappa": rel(mean_kappa, prediction.kappa),
+        "mu_hat": rel(mean_mu_hat, prediction.mu_hat),
+    }
+    for s in sizes:
+        deviations[f"beta_{s}"] = rel(mean_beta[s], prediction.beta[s])
 
     counts = _pool_degree_histogram(records)
     chi2_stat, chi2_pvalue, chi2_dof = _truncated_poisson_chi2(counts, cfg.k)
@@ -617,22 +605,23 @@ def _orient_payload(result: Orientation | CutWitness) -> dict:
 
 
 def _cmd_stats(args) -> int:
-    p = OrientationParams(args.h, args.w, max(args.k, 1))
+    p = _params(args)
     H = _read_input(args.input)
     H.validate_sizes(p)
     degrees = H.degrees()
     sizes = dict(sorted(H.edge_size_counts().items(), reverse=True))
-    kappa = w_density(H, p) if H.n else Fraction(0)
+    # a vertexless file has no density or degrees: None, not 0
+    kappa = w_density(H, p) if H.n else None
     payload = {
         "n": H.n,
         "m": H.num_edges,
         "edges_by_size": {str(s): c for s, c in sizes.items()},
         "total_demand": int(H.sign_demands(p).sum()),
-        "kappa": str(kappa),
-        "kappa_float": float(kappa),
-        "min_degree": min(degrees) if degrees else 0,
-        "max_degree": max(degrees) if degrees else 0,
-        "mean_degree": H.total_degree / H.n if H.n else 0.0,
+        "kappa": None if kappa is None else str(kappa),
+        "kappa_float": None if kappa is None else float(kappa),
+        "min_degree": min(degrees, default=None),
+        "max_degree": max(degrees, default=None),
+        "mean_degree": H.total_degree / H.n if H.n else None,
     }
     row = {key: v for key, v in payload.items() if key != "edges_by_size"}
     row.update((f"m_{s}", c) for s, c in sizes.items())
@@ -860,7 +849,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="hypergraph file ('-' for stdin)")
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--w", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1, help="only used for validation")
+    sp.add_argument(
+        "--k", type=int, default=1, help="indegree cap; the report does not depend on it"
+    )
     io_flags(sp)
     sp.set_defaults(func=_cmd_stats)
 

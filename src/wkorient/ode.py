@@ -236,33 +236,28 @@ _EVENT_NAMES = ("z_L", "z_B_minus_z_L", "z_HV", "mu_floor")
 class CoreStats:
     """Predicted core: alpha = surviving vertex fraction, beta[s] = edges
     of size s per initial vertex, kappa/mu_hat its density and mean degree
-    (None for an empty core).
+    (None for an empty core).  All four are None for an unknown core,
+    where `integrate` ends on an event other than z_L.
     terminated_by is "fixed_point" from `core_fixed_point`, or the event
     that ended `integrate`."""
 
     x_star: float
-    alpha: float
-    beta: dict
+    alpha: Optional[float]
+    beta: Optional[dict]
     kappa: Optional[float]
     mu_hat: Optional[float]
     terminated_by: str
 
     @property
     def empty(self) -> bool:
-        return self.alpha <= 0.0
+        return self.alpha is not None and self.alpha <= 0.0
 
 
 def _core_stats(
-    p: OrientationParams,
-    x_star: float,
-    terminated_by: str,
-    alpha: float = 0.0,
-    beta: Optional[dict] = None,
+    p: OrientationParams, x_star: float, terminated_by: str, alpha: float, beta: dict
 ) -> CoreStats:
     """CoreStats with the density and mean degree read off the vertex
-    fraction and the edges per size; no beta is the empty core."""
-    if beta is None:
-        beta = dict.fromkeys(p.sizes, 0.0)
+    fraction and the edges per size."""
     mu_hat = sum(s * b for s, b in beta.items()) / alpha if alpha > 0 else None
     return CoreStats(x_star, alpha, beta, _kappa(p, beta, alpha), mu_hat, terminated_by)
 
@@ -338,9 +333,9 @@ def _initial_vector(params: OdeParams) -> np.ndarray:
 def _stats_from_state(
     p: OrientationParams, x_star: float, y: np.ndarray, terminated_by: str
 ) -> CoreStats:
-    """The core read off the ending state y; empty unless it is z_L's."""
+    """The core read off the ending state y; unknown unless it is z_L's."""
     if terminated_by != "z_L":
-        return _core_stats(p, x_star, terminated_by)
+        return CoreStats(x_star, None, None, None, None, terminated_by)
     _, _, zHV, _, ZH = _split(p, y.tolist())
     beta = {s: max(zh, 0.0) / s for s, zh in zip(p.sizes, ZH)}
     return _core_stats(p, x_star, terminated_by, zHV, beta)
@@ -380,7 +375,8 @@ def _solve(sys: _System, y0: np.ndarray):
 
 def integrate(params: OdeParams) -> tuple[Trajectory, CoreStats]:
     """Run the system from its initial conditions to the first boundary
-    event and read off the core prediction.
+    event and read off the core prediction, which is unknown (None fields)
+    unless that event is z_L.
 
     Raises InitialStateError when the start already sits outside the domain
     (no heavy vertices, or mean heavy degree <= k+2) and StiffnessError when

@@ -381,10 +381,9 @@ def extend_orientation(
     far as this certificate goes.
     """
     o = core_orientation
-    if pr.core.num_edges > 0 or len(o.ptr) > 1:
-        ok, reason = verify_orientation(pr.core, o, p)
-        if not ok:
-            raise ValueError(f"core orientation invalid: {reason}")
+    ok, reason = verify_orientation(pr.core, o, p)
+    if not ok:
+        raise ValueError(f"core orientation invalid: {reason}")
     # (original edge, signed vertex) pairs: the peel's grants, then the core's
     edge = np.concatenate((pr.sign_edge, np.flatnonzero(pr.residual > 0)[o.row_of]))
     vert = np.concatenate((pr.step_vertex[pr.sign_step], pr.core_ids[o.verts]))
@@ -430,8 +429,7 @@ def core_statistics(pr: PeelResult, p: OrientationParams) -> CoreStatistics:
 
 
 def check_property_T(H: Hypergraph, p: OrientationParams) -> bool:
-    """True iff the (w, k+1)-core is empty or has w-density <= k."""
-    res = rancore(H, p)
-    if res.core.num_edges == 0 or res.core.n == 0:
-        return True
-    return w_density(res.core, p) <= p.k
+    """True iff the (w, k+1)-core has w-density <= k, counted as its sign
+    demand against k per core vertex (so an empty core passes)."""
+    core = rancore(H, p).core
+    return int(core.sign_demands(p).sum()) <= p.k * core.n

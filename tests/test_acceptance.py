@@ -407,7 +407,7 @@ def test_integration_is_tolerance_stable_and_monotone():
             _, stats = integrate(OdeParams(p, mu_bar))
         except ValueError:
             return 0.0  # below the heavy-vertex domain: no core
-        return 0.0 if stats.empty else stats.kappa  # an empty core: no core
+        return 0.0 if stats.kappa is None else stats.kappa  # empty or unknown: no core
 
     for h, w, k in REFERENCE_ROWS:
         p = OrientationParams(h, w, k)

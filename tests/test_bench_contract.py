@@ -137,10 +137,24 @@ def test_traced_rate_solve_sits_under_both_ode_entry_points():
     assert {"ode.integrate", "ode.trajectory_vs_trace"} <= callers
 
 
+# the per-layer counters each workload BENCHMARK.json lists must report
+OWN_COUNTERS = {
+    "orient-trials": ("flow.arcs",),
+    "process-trace": ("peeling.ran_steps", "ode.zl_ending_ratio"),
+    "threshold-table": ("ode.bisect_iters",),
+}
+
+
 @pytest.mark.parametrize("name", workloads.NAMES)
 def test_small_runs_pass_the_benchmark_checks(name, tmp_path):
-    # each workload reads result attributes (core, trace, elimination ...)
-    # that a refactor could rename without failing any other test here
+    # each workload, and each tracer counter, reads result attributes (core,
+    # trace, elimination, iterations, terminated_by ...) that a refactor
+    # could rename without failing any other test here
     wl = workloads.make(name, tmp_path, n=3000)
-    tally, _ = run.measure(wl, seed=3, seconds=0.0, expected={})
+    tracer = tracing.Tracer()
+    tally, replay = run.measure(wl, seed=3, seconds=0.0, expected={}, tracer=tracer)
     assert tally.failed == 0, tally.failures
+    assert replay.failed == 0, replay.failures
+    metrics = tracing.per_layer(tracer.layer_table(tally.attempted))
+    for counter in OWN_COUNTERS.get(name, ()):
+        assert metrics[counter] > 0, counter

@@ -159,6 +159,23 @@ def test_stats_formats(tmp_path, capsys):
     assert payload["total_demand"] == 3
 
 
+def test_stats_of_a_vertexless_file_reports_no_density(tmp_path, capsys):
+    # no vertices: density and degrees are undefined, not 0; --k is still
+    # validated although the report does not depend on it
+    path = _write(tmp_path, "none.hg", "0 0\n")
+    undefined = ("kappa", "kappa_float", "min_degree", "max_degree", "mean_degree")
+    assert main(["stats", path, "--h", "3", "--w", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n"], payload["m"], payload["total_demand"]) == (0, 0, 0)
+    assert [payload[key] for key in undefined] == [None] * 5
+    assert main(["stats", path, "--h", "3", "--w", "2"]) == 0
+    header, row = capsys.readouterr().out.rstrip("\n").split("\n")
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert [cols[key] for key in undefined] == [""] * 5
+    assert main(["stats", path, "--h", "3", "--w", "2", "--k", "-5"]) == 1
+    assert "k=-5" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # numeric commands
 
@@ -279,7 +296,10 @@ def test_empty_cores_report_no_density(tmp_path, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mean_alpha"] == 0.0
     assert (payload["mean_kappa"], payload["mean_mu_hat"]) == (None, None)
-    assert (payload["deviations"]["kappa"], payload["deviations"]["mu_hat"]) == (None, None)
+    # no relative deviation exists from a zero or undefined prediction
+    assert list(payload["deviations"]) == ["alpha", "kappa", "mu_hat", "beta_3", "beta_2"]
+    assert set(payload["deviations"].values()) == {None}
+    assert payload["chi2"] == {"stat": None, "pvalue": None, "dof": None}
     assert payload["prediction"]["alpha"] == 0.0
     assert (payload["prediction"]["kappa"], payload["prediction"]["mu_hat"]) == (None, None)
 
@@ -292,6 +312,20 @@ def test_empty_cores_report_no_density(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "edge.hg", "3 1\n0 1 2\n")
     assert main(["core", path, *HWK]) == 0
     assert capsys.readouterr().out.startswith("# core of h=3 w=2 k=4: n_core=0 kappa= mu_hat=\n")
+
+
+def test_run_trial_orients_an_empty_core():
+    # below core emergence the core is empty: `orient` decides it like any
+    # other, and its degree histogram has no cells
+    cfg = ExperimentConfig(3, 2, 4, 2000, 3.0, 1, 1, check_orientability=True)
+    rec = run_trial(cfg, 0, 0)
+    assert (rec.n_core, rec.orientable, rec.degree_counts) == (0, True, ())
+
+
+def test_trial_records_of_one_seed_compare_equal():
+    # wall time stays out of equality, as it stays out of the output
+    cfg = ExperimentConfig(3, 2, 4, 500, 5.5, 1, 3, check_orientability=True)
+    assert run_trial(cfg, 0, 0) == run_trial(cfg, 0, 0)
 
 
 def test_simulate_rejects_a_second_mu(capsys):

@@ -113,10 +113,13 @@ def test_mildly_subcritical_core_is_orientable():
 
 
 def test_strongly_subcritical_core_vanishes():
+    # the ODE reads no core off a mu_floor ending: the core is unknown there,
+    # and the fixed point gives the empty one
     _, stats = _solve(P324, 4.5)
-    assert stats.empty
     assert stats.terminated_by == "mu_floor"
-    assert stats.kappa is None and stats.mu_hat is None
+    assert not stats.empty
+    assert (stats.alpha, stats.beta, stats.kappa, stats.mu_hat) == (None,) * 4
+    assert core_fixed_point(P324, 4.5).empty
 
 
 def test_monotone_sample_columns():

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_core, peel_views, tuple_extend
@@ -21,6 +21,7 @@ from wkorient.hypergraph import (
 from wkorient.models import RngSeed, sample_uniform_multi
 from wkorient.peeling import (
     ExtensionConflictError,
+    check_property_T,
     core_statistics,
     extend_orientation,
     rancore,
@@ -103,6 +104,18 @@ def test_core_matches_brute_force(inst):
     names = pr.core_vertices
     mine = sorted(tuple(names[v] for v in e) for e in pr.core.edges)
     assert mine == sorted(want_edges)
+
+
+@given(peel_instances(max_n=6, max_m=12))
+@example((Hypergraph(0), P322))
+@example((Hypergraph(3), P322))
+@settings(max_examples=200, deadline=None)
+def test_property_T_counts_what_the_density_compares(inst):
+    # sign demand <= k·|V| on the core is its w-density <= k, and holds
+    # on an empty core, which has no density
+    H, p = inst
+    core = rancore(H, p).core
+    assert check_property_T(H, p) == (core.n == 0 or w_density(core, p) <= p.k)
 
 
 @given(peel_instances())
