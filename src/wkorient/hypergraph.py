@@ -178,9 +178,6 @@ class Hypergraph(_Rows):
         return Counter({s: c for s, c in enumerate(counts.tolist()) if c})
 
     def validate_sizes(self, p: OrientationParams) -> None:
-        # the rows are immutable, so a size window that passed is remembered
-        if self.__dict__.get("valid_sizes") == (p.min_edge_size, p.h):
-            return
         sizes = self.sizes
         bad = np.flatnonzero((sizes < p.min_edge_size) | (sizes > p.h))
         if len(bad):
@@ -189,7 +186,6 @@ class Hypergraph(_Rows):
             raise ValueError(
                 f"edge {e} has size {len(e)}, outside [{p.min_edge_size}, {p.h}]"
             )
-        self.__dict__["valid_sizes"] = (p.min_edge_size, p.h)
 
     def sign_demands(self, p: OrientationParams) -> np.ndarray:
         """Per-edge sign demand w - (h - size); sizes must be validated."""
@@ -248,9 +244,7 @@ def w_induced_subgraph(H: Hypergraph, S: Iterable[int], p: OrientationParams) ->
     keep = kept >= p.min_edge_size
     ptr = np.concatenate(([0], np.cumsum(kept[keep])))
     verts = rank[H.verts[inside & keep[H.row_of]]]
-    sub = Hypergraph(len(Ss), ptr=ptr, verts=verts)
-    sub.__dict__["valid_sizes"] = H.valid_sizes  # edges keep h-w+1 to all their balls
-    return sub
+    return Hypergraph(len(Ss), ptr=ptr, verts=verts)
 
 
 def verify_orientation(H: Hypergraph, o: Orientation, p: OrientationParams):

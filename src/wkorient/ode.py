@@ -569,9 +569,14 @@ def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:
 def trajectory_vs_trace(traj: Trajectory, trace: ProcessTrace) -> dict[str, float]:
     """Sup-norm deviation between the solved trajectory and a scaled
     simulation trace, per variable, relative to the variable's sup over the
-    trace.  Only the overlap of the two x-ranges is compared."""
+    trace.  Only the overlap of the two x-ranges is compared; a trace of
+    another (h, w, k), or one with no overlap, raises ValueError."""
     if traj.dense is None:
         raise ValueError("single-point trajectory has nothing to compare")
+    tp, p = trace.params, traj.params.p
+    if tp != p:
+        raise ValueError(f"trace of (h, w, k) = ({tp.h}, {tp.w}, {tp.k}) against a "
+                         f"trajectory of ({p.h}, {p.w}, {p.k})")
     scaled = trace.scaled()
     xs = scaled["x"]
     mask = xs <= traj.x[-1]

@@ -259,10 +259,8 @@ def _peel_random(
         mark = stride
     while pool:
         for u in rng.random(4096).tolist():
-            size = len(pool)
-            idx = int(u * size)
-            if idx == size:  # guard the u == 1.0 edge
-                idx -= 1
+            # u <= 1 - 2**-53, so u * size rounds below size for any pool
+            idx = int(u * len(pool))
             b = pool[idx]
             log(b)
             alive[b] = False
@@ -354,7 +352,8 @@ def rancore(
 
     mode="deterministic" peels in parallel rounds; mode="randomized"
     removes one uniform light ball per step (rng required) and, with
-    trace=True, samples the process census every ceil(n/1000) steps.
+    trace=True, samples the process census every ceil(n/1000) steps (a
+    trace needs n >= 1).
     """
     if mode == "deterministic":
         if trace:
@@ -364,6 +363,8 @@ def rancore(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("randomized mode needs an rng")
+    if trace and H.n == 0:
+        raise ValueError("a process trace needs at least one vertex")
     stride = max(1, -(-H.n // 1000)) if trace else None
     return _peel_random(H, p, rng, stride)
 

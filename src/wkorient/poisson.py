@@ -61,9 +61,7 @@ def poisson_tail_complement(k: int, mu: float) -> float:
 
 
 def _log_pmf(j: int, mu: float) -> float:
-    """log of the Poisson(mu) pmf at j."""
-    if mu == 0.0:
-        return 0.0 if j == 0 else -math.inf
+    """log of the Poisson(mu) pmf at j, for mu > 0."""
     return j * math.log(mu) - mu - math.lgamma(j + 1)
 
 
@@ -72,10 +70,8 @@ def _tail_series(k: int, mu: float) -> tuple[float, float]:
     and its derivative T_k'(mu).
 
     All terms positive; converges for every mu (terms decay once j > mu-k).
-    Intended for mu <= ~600 where no term can overflow.
+    Intended for 0 < mu <= ~600 where no term can overflow.
     """
-    if mu == 0.0:
-        return 1.0, 1.0 / (k + 1)
     term = 1.0
     total = 1.0
     dtotal = 0.0  # sum of j * mu^(j-1) k!/(k+j)!

@@ -104,6 +104,18 @@ def test_orient_json_witness(tmp_path):
     assert Fraction(payload["kappa_S"]) == Fraction(4, 3)
 
 
+def test_orient_names_a_degenerate_edge(tmp_path, capsys):
+    # one edge owing two signs to a single distinct vertex
+    deg = _write(tmp_path, "deg.hg", "1 1\n0 0 0\n")
+    hwk = ["--h", "3", "--w", "2", "--k", "1"]
+    assert main(["orient", deg, *hwk]) == 2
+    assert capsys.readouterr().out == "non-orientable\ndegenerate-edge: 0\n"
+    assert main(["orient", deg, *hwk, "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["orientable"], payload["degenerate_edge"]) == (False, 0)
+    assert "S" not in payload
+
+
 def test_orient_reports_parse_errors(tmp_path, capsys):
     bad = _write(tmp_path, "bad.hg", "2 1\n0 x\n")
     assert main(["orient", bad, "--h", "2", "--w", "1", "--k", "1"]) == 1

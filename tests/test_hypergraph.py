@@ -67,6 +67,11 @@ def test_params_validation():
         OrientationParams(3, 2, 0)
 
 
+def test_params_must_be_integers():
+    with pytest.raises(ValueError, match="must be integers"):
+        OrientationParams(3.0, 2, 4)
+
+
 def test_sign_demand_and_size_window():
     p = OrientationParams(5, 3, 2)
     assert p.min_edge_size == 3
@@ -82,6 +87,15 @@ def test_edges_are_canonicalized():
     assert H.num_edges == 2
     assert H.total_degree == 6
     assert H.degrees()[2] == 2  # multiplicity counts
+
+
+def test_hypergraphs_are_immutable_values():
+    H = Hypergraph(3, [(2, 0, 1), (1, 2)])
+    with pytest.raises(AttributeError, match="Hypergraph is immutable"):
+        H.n = 4
+    same = Hypergraph(3, [(0, 1, 2), (2, 1)])
+    assert H == same and hash(H) == hash(same)
+    assert len({H, same, Hypergraph(4, [(0, 1, 2), (1, 2)])}) == 2
 
 
 def test_container_rejects_bad_edges():

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from wkorient.ode import (
     integrate,
     trajectory_vs_trace,
 )
-from wkorient.peeling import rancore
+from wkorient.peeling import ProcessTrace, rancore
 from wkorient.poisson import initial_conditions, poisson_tail
 
 P324 = OrientationParams(3, 2, 4)
@@ -45,6 +46,18 @@ def test_f_star_cases():
     assert f_star(-0.2, -0.4, 0.5) == pytest.approx(0.2 * 0.2 / (0.5 * 0.4))
     assert f_star(0.3, 0.0, 0.5) == 0.0
     assert f_star(0.2, 0.4, 0.0) == 0.0  # outside the domain, events own it
+
+
+def test_f_star_with_a_vanished_denominator():
+    assert f_star(-1.0, 0.0, 1.0) == 0.0
+
+
+def test_no_heavy_vertex_means_no_migration():
+    # z_HV = 0 with heavy balls left: no rate is solved and nothing migrates
+    y = np.array([0.1, 0.2, 0.5, 1.0, 0.0])  # light_2, heavy_2, z_L, z_B, z_HV
+    dy = _System(OdeParams(P324, 6.0)).rhs(0.0, y)
+    assert np.isfinite(dy).all()
+    assert dy[-1] == 0.0
 
 
 def test_ode_params_validation():
@@ -474,6 +487,15 @@ def test_threshold_bisection_ends_on_float_spacing():
     assert res.iterations < 64
 
 
+def test_threshold_bisection_ends_on_an_exhausted_midpoint():
+    # below every float spacing only the midpoint meeting an end stops it
+    p = OrientationParams(2, 1, 2)
+    res = find_threshold(p, tol=5e-324)
+    assert res.bracket[0] < res.bracket[1]
+    assert res.kappa_lo <= p.k < res.kappa_hi
+    assert res.iterations == 52
+
+
 def test_trajectory_vs_trace_is_pinned():
     # repr of every deviation of one seeded n = 2000 randomized trace: any
     # change in how a state matrix is read into columns shows up here
@@ -492,6 +514,28 @@ def test_trajectory_vs_trace_is_pinned():
         "z_H_2": "0.043450865243610776",
         "z_A": "0.06826636712176619",
     }
+
+
+def test_trajectory_vs_trace_rejects_other_parameters():
+    H = sample_uniform_multi(300, 500, 3, RngSeed(5, 1).generator())
+    trace = rancore(H, P324, mode="randomized", rng=RngSeed(5, 2).generator(),
+                    trace=True).trace
+    for hwk, mu_bar in (((4, 2, 3), 6.5), ((3, 1, 1), 3.0)):
+        traj, _ = integrate(OdeParams(OrientationParams(*hwk), mu_bar))
+        want = f"trace of (h, w, k) = (3, 2, 4) against a trajectory of {hwk}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            trajectory_vs_trace(traj, trace)
+
+
+def test_trajectory_vs_trace_needs_an_overlap():
+    # a hand-built one-row trace recorded past the trajectory's end
+    traj, _ = integrate(OdeParams(P324, 5.0))
+    census = np.zeros((1, 3 + 2 * (P324.h + 1)), dtype=np.int64)
+    census[0, 0] = 1000
+    trace = ProcessTrace(1, P324, 1, census)
+    assert trace.scaled()["x"][0] > traj.x[-1]
+    with pytest.raises(ValueError, match="share no x-range"):
+        trajectory_vs_trace(traj, trace)
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,13 @@ def test_extension_rejects_invalid_core_orientation():
         extend_orientation(pr, Orientation([]), P322)
 
 
+def test_extension_rejects_a_core_orientation_with_too_few_signs():
+    pr = rancore(QUAD, P322)
+    one_each = Orientation([e[:1] for e in pr.core.edges])  # each edge owes 2
+    with pytest.raises(ValueError, match="core orientation invalid: edge 0: 1 signs, needs 2"):
+        extend_orientation(pr, one_each, P322)
+
+
 # ---------------------------------------------------------------------------
 # the randomized process census
 
@@ -239,6 +246,26 @@ def test_trace_gating():
         rancore(QUAD, P322, mode="randomized")
     with pytest.raises(ValueError):
         rancore(QUAD, P322, mode="fifo")
+
+
+def test_a_trace_needs_a_vertex():
+    # the census is scaled by the vertex count; the untraced peel takes n = 0
+    rng = RngSeed(0).generator()
+    with pytest.raises(ValueError, match="a process trace needs at least one vertex"):
+        rancore(Hypergraph(0), P322, mode="randomized", rng=rng, trace=True)
+    pr = rancore(Hypergraph(0), P322, mode="randomized", rng=rng)
+    assert (pr.core.n, pr.trace) == (0, None)
+
+
+def test_a_draw_below_one_indexes_inside_every_pool():
+    # numpy's Generator.random draws from [0, 1), so u is at most the double
+    # below 1.0, and int(u * size) < size for every pool the loop can hold
+    u = np.nextafter(1.0, 0.0)
+    sizes = np.arange(1, 10**6 + 1)
+    assert ((u * sizes).astype(np.int64) < sizes).all()
+    for e in range(53):
+        for size in (2**e - 1, 2**e, 2**e + 1):
+            assert size == 0 or int(u * size) < size
 
 
 def test_trace_initial_census():

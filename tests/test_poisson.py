@@ -16,6 +16,7 @@ from wkorient.poisson import (
     LambdaSolveError,
     heavy_bucket_fraction,
     initial_conditions,
+    log_poisson_tail,
     poisson_tail,
     poisson_tail_complement,
     solve_lambda,
@@ -49,6 +50,28 @@ def test_tail_frozen_values():
 def test_tail_rejects_negative_mu():
     with pytest.raises(ValueError):
         poisson_tail(2, -0.5)
+
+
+def test_tail_complement_convention_and_domain():
+    assert poisson_tail_complement(0, 3.0) == 0.0
+    assert poisson_tail_complement(-2, 3.0) == 0.0
+    with pytest.raises(ValueError):
+        poisson_tail_complement(2, -0.5)
+
+
+def test_log_tail_at_zero_rate():
+    assert log_poisson_tail(3, 0.0) == -math.inf
+    assert log_poisson_tail(0, 0.0) == 0.0
+
+
+def test_log_tail_series_fallback_matches_mpmath():
+    # P(Poisson(1e-6) >= 60) ~ e^-1017.6 underflows; the series form takes over
+    assert poisson_tail(60, 1e-6) == 0.0
+    got = log_poisson_tail(60, 1e-6)
+    with mpmath.workdps(50):
+        want = mpmath.log(mpmath.gammainc(60, 0, mpmath.mpf(1e-6), regularized=True))
+        assert abs(mpmath.mpf(got) - want) <= 1e-16 * abs(want)
+    assert got == pytest.approx(-1017.5588078851346, rel=1e-15)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 17, 40, 120, 200])
@@ -188,6 +211,24 @@ def test_truncated_mean_frozen_and_oracle():
 def test_truncated_mean_zero_rate():
     # conditioning Poisson(0) on >= k concentrates at exactly k
     assert truncated_mean_from_rate(0.0, 5) == 5.0
+
+
+def test_truncated_mean_domain_and_untruncated_case():
+    assert truncated_mean_from_rate(2.5, 0) == 2.5
+    with pytest.raises(ValueError, match="rate must be nonnegative"):
+        truncated_mean_from_rate(-1.0, 2)
+
+
+def test_solve_lambda_rejects_a_mean_below_the_support():
+    for mu in (3.0, 2.5):
+        with pytest.raises(ValueError, match="no truncated-Poisson rate"):
+            solve_lambda(mu, 2)
+
+
+def test_initial_conditions_reject_a_nonpositive_mean():
+    for mu_bar in (0.0, -1.0):
+        with pytest.raises(ValueError, match="mu_bar must be positive"):
+            initial_conditions(mu_bar, 2)
 
 
 # ---------------------------------------------------------------------------
