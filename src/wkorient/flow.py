@@ -96,7 +96,7 @@ def build_network(H: Hypergraph, p: OrientationParams) -> FlowNetwork:
     demand = H.sign_demands(p)
     first = H.first_of_vertex
     # rows in node order: source, edge nodes, vertex nodes, sink
-    counts = np.concatenate(([m], H.distinct_sizes(), np.ones(n, dtype=np.int64), [0]))
+    counts = np.concatenate(([m], H.distinct_sizes, np.ones(n, dtype=np.int64), [0]))
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
     indices = np.concatenate(
         (np.arange(1, m + 1), 1 + m + H.verts[first], np.full(n, m + n + 1))
@@ -146,7 +146,7 @@ def orient(H: Hypergraph, p: OrientationParams) -> Union[Orientation, CutWitness
     CutWitness whose induced density exceeds k (checked in exact rationals).
     """
     net = build_network(H, p)  # validates the edge sizes, once per call
-    degenerate = np.flatnonzero(H.distinct_sizes() < H.sign_demands(p))
+    degenerate = np.flatnonzero(H.distinct_sizes < H.sign_demands(p))
     if len(degenerate):
         return CutWitness(S=(), kappa_S=None, degenerate_edge=int(degenerate[0]))
     value, flow = max_flow(net)

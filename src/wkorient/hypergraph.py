@@ -80,10 +80,7 @@ def _sort_rows(ptr: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 
 def _csr(rows) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, verts) of a sequence of int rows, or of an (m, h) int array."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        m, h = rows.shape
-        return np.arange(m + 1, dtype=np.int64) * h, rows.ravel()
+    """(ptr, verts) of a sequence of int rows."""
     rows = [r if isinstance(r, (tuple, list)) else tuple(r) for r in rows]
     ptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=ptr[1:])
@@ -93,9 +90,10 @@ def _csr(rows) -> tuple[np.ndarray, np.ndarray]:
 
 class _Rows:
     """Immutable rows of ints in CSR form: row i is verts[ptr[i]:ptr[i+1]],
-    sorted ascending.  Subclasses name the tuple-of-tuples view."""
+    sorted ascending, given as the rows or as ptr and verts.  Subclasses
+    name the tuple-of-tuples view."""
 
-    def __init__(self, rows, ptr, verts):
+    def __init__(self, rows: Iterable[Iterable[int]] = (), *, ptr=None, verts=None):
         if ptr is None:
             ptr, verts = _csr(rows)
         # own copies, so the caller's arrays stay theirs to change
@@ -146,7 +144,7 @@ class Hypergraph(_Rows):
     ):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        super().__init__(edges, ptr, verts)
+        super().__init__(edges, ptr=ptr, verts=verts)
         self.__dict__["n"] = n
         outside = np.flatnonzero((self.verts < 0) | (self.verts >= n))
         bad = self.sizes == 0
@@ -200,6 +198,7 @@ class Hypergraph(_Rows):
         first[1:] = (verts[1:] != verts[:-1]) | (row[1:] != row[:-1])
         return first
 
+    @cached_property
     def distinct_sizes(self) -> np.ndarray:
         """Number of distinct vertices in each edge."""
         return np.bincount(self.row_of[self.first_of_vertex], minlength=self.num_edges)
@@ -210,9 +209,6 @@ class Orientation(_Rows):
     ``verts[ptr[i]:ptr[i+1]]`` (sorted); ``signs`` is the tuple view."""
 
     _view_name = "signs"
-
-    def __init__(self, signs: Iterable[Iterable[int]] = (), *, ptr=None, verts=None):
-        super().__init__(signs, ptr, verts)
 
     signs = cached_property(_Rows._rows_view)
 

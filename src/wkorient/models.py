@@ -45,4 +45,4 @@ def sample_uniform_multi(n: int, m: int, h: int, rng: np.random.Generator) -> Hy
         raise ValueError(f"edge count must be nonnegative, got m={m}")
     draws = rng.integers(0, n, size=(m, h))
     draws.sort(axis=1)
-    return Hypergraph(n, draws)
+    return Hypergraph(n, ptr=np.arange(m + 1, dtype=np.int64) * h, verts=draws.ravel())

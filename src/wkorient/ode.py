@@ -46,7 +46,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .hypergraph import OrientationParams
 from .peeling import ProcessTrace
-from .poisson import heavy_bucket_fraction, initial_conditions, solve_lambda
+from .poisson import initial_conditions, solve_lambda, truncated_poisson_pmf
 
 __all__ = [
     "OdeParams",
@@ -175,7 +175,7 @@ class _System:
         # sits in an exactly-(k+1)-ball heavy bin with probability
         # (k+1) z_A / (z_B - z_L)
         if zHV > 0.0 and heavy > 0.0:
-            z_a = heavy_bucket_fraction(self.solve_rate(heavy / zHV), k) * zHV
+            z_a = truncated_poisson_pmf(k + 1, self.solve_rate(heavy / zHV), k + 1) * zHV
             hit_small = _ratio((k + 1) * z_a, heavy)
         else:
             hit_small = 0.0
@@ -288,7 +288,7 @@ def _read_states(p: OrientationParams, y: np.ndarray) -> dict[str, np.ndarray]:
         if zHV[i] > 0 and heavy[i] > 0 and heavy[i] / zHV[i] > k + 1 + 1e-9:
             mu[i] = heavy[i] / zHV[i]
             lam[i] = warm = solve_lambda(mu[i], k, x0=warm)
-            z_a[i] = heavy_bucket_fraction(lam[i], k) * zHV[i]
+            z_a[i] = truncated_poisson_pmf(k + 1, lam[i], k + 1) * zHV[i]
     cols["mu"] = mu
     cols["lambda"] = lam
     cols["z_A"] = z_a
@@ -510,14 +510,13 @@ class ThresholdResult:
     kappa_lo: Optional[float]
     kappa_hi: float
     iterations: int
-    stats_at_threshold: Optional[CoreStats]
+    stats_at_threshold: CoreStats
 
     @property
     def mu_hat(self) -> Optional[float]:
-        """The core's mean degree at mu_tilde; None where that core is empty
-        (a continuous emergence, where only a limit from above exists)."""
-        at = self.stats_at_threshold
-        return None if at is None else at.mu_hat
+        """The mean degree of `stats_at_threshold`; None where that core is
+        empty (a continuous emergence, where only a limit from above exists)."""
+        return self.stats_at_threshold.mu_hat
 
 
 def find_threshold(p: OrientationParams, tol: float = 1e-4) -> ThresholdResult:

@@ -23,9 +23,7 @@ __all__ = [
     "log_poisson_tail",
     "solve_lambda",
     "LambdaSolveError",
-    "truncated_mean_from_rate",
     "truncated_poisson_pmf",
-    "heavy_bucket_fraction",
     "initial_conditions",
 ]
 
@@ -100,20 +98,6 @@ def log_poisson_tail(k: int, mu: float) -> float:
     return _log_pmf(k, mu) + math.log(_tail_series(k, mu)[0])
 
 
-def truncated_mean_from_rate(lam: float, k: int) -> float:
-    """Mean of Poisson(lam) conditioned on being >= k.
-
-    Uses mean = lam + k/T_k(lam); exact identity, no tail cancellation.
-    """
-    if lam < 0:
-        raise ValueError(f"rate must be nonnegative, got {lam}")
-    if k <= 0:
-        return lam
-    if lam == 0.0:
-        return float(k)
-    return _mean_and_slope(lam, k)[0]
-
-
 def _mean_and_slope(lam: float, k: int) -> tuple[float, float]:
     """Mean of Poisson(lam) conditioned on being >= k, for lam > 0 and
     k >= 1, and its derivative in lam."""
@@ -181,16 +165,6 @@ def truncated_poisson_pmf(j: int, lam: float, kk: int) -> float:
     if j < kk:
         return 0.0
     return math.exp(_log_pmf(j, lam) - log_poisson_tail(kk, lam))
-
-
-def heavy_bucket_fraction(lam: float, k: int) -> float:
-    """Predicted fraction of heavy bins holding exactly k+1 balls:
-
-        e^-lam * lam^(k+1) / ((k+1)! * P(Pois(lam) >= k+1)),
-
-    i.e. the pmf of the >=(k+1)-truncated Poisson at its lowest point.
-    """
-    return truncated_poisson_pmf(k + 1, lam, k + 1)
 
 
 def initial_conditions(mu_bar: float, k: int) -> tuple[float, float, float, float]:

@@ -43,7 +43,7 @@ from wkorient.poisson import (
     poisson_tail,
     poisson_tail_complement,
     solve_lambda,
-    truncated_mean_from_rate,
+    truncated_poisson_pmf,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -337,17 +337,20 @@ def test_orientability_transition_is_sharp(tmp_path):
 
 
 def test_rate_inversion_and_tail_identities():
-    # rate -> conditioned mean -> rate round-trips across the domain
+    # mean -> rate -> mean round-trips across the domain, back through the
+    # closed form mu = lam + (k+1) P(X = k+1 | X >= k+1): scipy's tail, not
+    # the series the solver iterates on; (700, 650) has its root past the
+    # series' lam = 600 cut
     worst_rt = 0.0
-    for k in range(1, 9):
-        for bump in (0.05, 0.3, 1.0, 3.0, 10.0, 40.0):
-            mu = k + 1 + bump
-            lam = solve_lambda(mu, k)
-            assert 0.0 < lam < mu
-            back = truncated_mean_from_rate(lam, k + 1)
-            err = abs(back - mu) / max(1.0, mu)
-            assert err <= 1e-9, (mu, k, lam, back)
-            worst_rt = max(worst_rt, err)
+    grid = [(k + 1 + bump, k) for k in range(1, 9)
+            for bump in (0.05, 0.3, 1.0, 3.0, 10.0, 40.0)]
+    for mu, k in [*grid, (700.0, 650)]:
+        lam = solve_lambda(mu, k)
+        assert 0.0 < lam < mu
+        back = lam + (k + 1) * truncated_poisson_pmf(k + 1, lam, k + 1)
+        err = abs(back - mu) / max(1.0, mu)
+        assert err <= 1e-9, (mu, k, lam, back)
+        worst_rt = max(worst_rt, err)
 
     # tails against exact rational partial sums, P(< k) = e^-mu sum mu^j/j!
     for k in range(1, 21):

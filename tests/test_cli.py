@@ -29,7 +29,7 @@ from wkorient.hypergraph import (
 )
 from oracles import sample_uniform_simple
 from wkorient.models import RngSeed, sample_uniform_multi
-from wkorient.ode import BracketError, DomainError, ThresholdResult
+from wkorient.ode import BracketError, CoreStats, DomainError, ThresholdResult
 from wkorient.peeling import rancore
 from wkorient.poisson import solve_lambda, truncated_poisson_pmf
 
@@ -613,7 +613,7 @@ def test_table1_survives_row_failures(capsys, monkeypatch):
             raise BracketError("synthetic failure")
         return ThresholdResult(
             mu_tilde=5.5, bracket=(5.4, 5.6), kappa_lo=3.9, kappa_hi=4.1,
-            iterations=1, stats_at_threshold=None,
+            iterations=1, stats_at_threshold=CoreStats(0.0, 0.0, {}, None, None, "z_L"),
         )
 
     monkeypatch.setattr(cli, "find_threshold", flaky)

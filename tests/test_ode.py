@@ -479,12 +479,13 @@ def test_continuous_emergence_is_the_threshold(tol):
         assert res.stats_at_threshold.empty
 
 
-def test_threshold_bisection_ends_on_float_spacing():
-    # a tol below the float spacing ends where the midpoint meets an end
+def test_threshold_bisection_ends_on_a_collapsed_bracket():
+    # a tol below the float spacing of the mean degree ends when its two
+    # ends round to the same float (mu_hi - mu_lo == 0.0), while x_lo < x_hi
     res = find_threshold(P324, tol=1e-300)
-    assert res.bracket[1] - res.bracket[0] <= 1e-12
+    assert res.bracket == (5.484710208326618, 5.484710208326618)
     assert res.kappa_lo <= P324.k < res.kappa_hi
-    assert res.iterations < 64
+    assert res.iterations == 50
 
 
 def test_threshold_bisection_ends_on_an_exhausted_midpoint():
@@ -494,6 +495,19 @@ def test_threshold_bisection_ends_on_an_exhausted_midpoint():
     assert res.bracket[0] < res.bracket[1]
     assert res.kappa_lo <= p.k < res.kappa_hi
     assert res.iterations == 52
+
+
+def test_heavy_bin_share_is_the_rate_identity():
+    # z_A / z_HV, the share of heavy bins at exactly k+1 balls, is
+    # (mu - lambda) / (k+1): the inversion's closed form read off the ODE
+    for hwk, mu_bar in (((3, 2, 4), 5.0), ((3, 2, 10), 14.766), ((3, 1, 1), 2.75)):
+        traj, _ = integrate(OdeParams(OrientationParams(*hwk), mu_bar))
+        cols = traj.columns()
+        on = ~np.isnan(cols["lambda"])
+        assert on.sum() > 10, hwk
+        k = hwk[2]
+        want = (cols["mu"][on] - cols["lambda"][on]) / (k + 1) * cols["z_HV"][on]
+        np.testing.assert_allclose(cols["z_A"][on], want, rtol=0, atol=1e-13)
 
 
 def test_trajectory_vs_trace_is_pinned():

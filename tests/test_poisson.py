@@ -7,20 +7,18 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import f_k_mp, solve_lambda_mp, truncated_mean_mp
 import wkorient.poisson as poisson
 from wkorient.poisson import (
     LambdaSolveError,
-    heavy_bucket_fraction,
     initial_conditions,
     log_poisson_tail,
     poisson_tail,
     poisson_tail_complement,
     solve_lambda,
-    truncated_mean_from_rate,
     truncated_poisson_pmf,
 )
 
@@ -175,11 +173,14 @@ def test_solve_lambda_gap_at_k40():
     excess=st.floats(min_value=1e-6, max_value=300.0),
 )
 @settings(max_examples=200)
+@example(k=650, excess=49.0)  # mu = 700: the root lies past the series' 600 cut
 def test_solve_lambda_roundtrip_and_order(k, excess):
     mu = k + 1 + excess  # any mean above the support floor k+1 is solvable
     lam = solve_lambda(mu, k)
     assert 0.0 < lam <= mu + 1e-12
-    back = truncated_mean_from_rate(lam, k + 1)
+    # the closed form mu = lam + (k+1) P(X = k+1 | X >= k+1), whose tail is
+    # scipy's, not the solver's series
+    back = lam + (k + 1) * truncated_poisson_pmf(k + 1, lam, k + 1)
     assert back == pytest.approx(mu, rel=1e-9)
 
 
@@ -200,23 +201,11 @@ def test_solve_lambda_takes_numpy_floats_where_the_slope_square_overflows():
 
 
 def test_truncated_mean_frozen_and_oracle():
-    assert truncated_mean_from_rate(3.0, 2) == pytest.approx(
-        TRUNC_MEAN_3_GE2, rel=1e-13
-    )
+    # solve_lambda(mu, k - 1) inverts the mean of Poisson(lam) given >= k
+    assert solve_lambda(TRUNC_MEAN_3_GE2, 1) == pytest.approx(3.0, rel=1e-13)
     for lam, k in ((0.5, 1), (4.0, 6), (90.0, 40), (700.0, 3)):
-        want = float(truncated_mean_mp(lam, k))
-        assert truncated_mean_from_rate(lam, k) == pytest.approx(want, rel=1e-10)
-
-
-def test_truncated_mean_zero_rate():
-    # conditioning Poisson(0) on >= k concentrates at exactly k
-    assert truncated_mean_from_rate(0.0, 5) == 5.0
-
-
-def test_truncated_mean_domain_and_untruncated_case():
-    assert truncated_mean_from_rate(2.5, 0) == 2.5
-    with pytest.raises(ValueError, match="rate must be nonnegative"):
-        truncated_mean_from_rate(-1.0, 2)
+        mu = float(truncated_mean_mp(lam, k))
+        assert solve_lambda(mu, k - 1) == pytest.approx(lam, rel=1e-10)
 
 
 def test_solve_lambda_rejects_a_mean_below_the_support():
@@ -254,16 +243,15 @@ def test_truncated_pmf_k0_is_plain_poisson():
 def test_truncated_mean_property():
     for lam, k in ((2.0, 2), (11.0, 4)):
         series = sum(j * truncated_poisson_pmf(j, lam, k) for j in range(k, k + 300))
-        assert truncated_mean_from_rate(lam, k) == pytest.approx(series, rel=1e-10)
+        assert series == pytest.approx(float(truncated_mean_mp(lam, k)), rel=1e-10)
 
 
-def test_heavy_bucket_fraction_identity():
-    # the same expression, so the same float
+def test_heavy_bin_share_identity():
+    # the share of heavy bins holding exactly k+1 balls, the ODE's z_A / z_HV
     for lam, k in ((1.3, 1), (6.0, 4), (55.0, 40), (700.0, 3)):
-        assert heavy_bucket_fraction(lam, k) == truncated_poisson_pmf(k + 1, lam, k + 1)
         want = math.exp(-lam) * lam ** (k + 1) / math.factorial(k + 1) / poisson_tail(k + 1, lam)
-        assert heavy_bucket_fraction(lam, k) == pytest.approx(want, rel=1e-12)
-    assert heavy_bucket_fraction(4000.0, 2) < 1e-200
+        assert truncated_poisson_pmf(k + 1, lam, k + 1) == pytest.approx(want, rel=1e-12)
+    assert truncated_poisson_pmf(3, 4000.0, 3) < 1e-200
 
 
 def test_initial_conditions_formulas():

@@ -2,10 +2,14 @@
 
 import csv
 import importlib.util
+import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from wkorient import cli, models
 from wkorient.cli import ExperimentConfig, run_trial, table1_rows
 from wkorient.hypergraph import OrientationParams
 from wkorient.ode import core_emergence
@@ -100,3 +104,18 @@ def test_transition_sweep_matches_stream_matched_trials(tmp_path, capsys):
         assert float(row["fraction"]) == sum(verdicts) / 6, row
         fractions.append(float(row["fraction"]))
     assert any(0 < f < 1 for f in fractions)  # the grid crosses the window
+
+
+def test_line_scan_lists_the_lines_a_run_never_reaches():
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_scan.py"), "tests/test_models.py", "-q",
+         "-p", "no:cacheprovider"],
+        cwd=SCRIPTS.parent, capture_output=True, text=True, check=True,
+    )
+    listed = set(run.stdout.splitlines())
+    cli_lines = inspect.getsource(cli).splitlines()
+    exit_line = cli_lines.index("    sys.exit(main())") + 1
+    assert f"src/wkorient/cli.py:{exit_line}" in listed  # test_models never runs the CLI
+    body, first = inspect.getsourcelines(models.sample_uniform_multi)
+    ran = {f"src/wkorient/models.py:{first + i}" for i in range(1, len(body))}
+    assert not ran & listed
