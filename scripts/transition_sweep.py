@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         for n in sizes:
             t0 = time.perf_counter()
             m_stars = [
-                hitting_load(p, n, args.seed, t, t).m_star for t in range(args.trials)
+                hitting_load(p, n, args.seed, t).m_star for t in range(args.trials)
             ]
             seconds = time.perf_counter() - t0
             for mu_bar in grid:

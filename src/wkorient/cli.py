@@ -46,6 +46,7 @@ from .ode import (
     DomainError,
     InitialStateError,
     OdeParams,
+    StiffnessError,
     core_fixed_point,
     find_threshold,
     integrate,
@@ -121,12 +122,12 @@ class ExperimentConfig:
 @dataclasses.dataclass(frozen=True)
 class TrialRecord:
     """One sampled instance: core statistics plus the orientability verdict
-    (None when the trial didn't ask for one).  ``seconds`` and ``timings``
-    (wall seconds per stage: sample, peel, stats, orient) stay out of the
-    persisted tables and of ``==``, so equal seeds give equal bytes and
-    equal records; ``degree_counts``
-    (core degree histogram, index = degree) is an aggregation aid and stays
-    out of them too.  An empty core has no density or mean degree (None)."""
+    (None when the trial didn't ask for one).  ``timings`` (wall seconds per
+    stage: sample, peel, stats, orient; the trial's wall time is their sum)
+    stays out of the persisted tables and of ``==``, so equal seeds give
+    equal bytes and equal records; ``degree_counts`` (core degree
+    histogram, index = degree) is an aggregation aid and stays out of the
+    tables too.  An empty core has no density or mean degree (None)."""
 
     mu_bar: float
     trial: int
@@ -136,14 +137,15 @@ class TrialRecord:
     kappa: Optional[float]
     mu_hat: Optional[float]
     orientable: Optional[bool]
-    seconds: float = dataclasses.field(compare=False)
-    degree_counts: tuple = ()
-    timings: dict = dataclasses.field(default_factory=dict, compare=False)
+    degree_counts: tuple
+    timings: dict = dataclasses.field(compare=False)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int, stream: int) -> TrialRecord:
-    """Sample, peel, and optionally flow-orient the core of one instance."""
-    t0 = mark = time.perf_counter()
+    """Sample, peel, and optionally flow-orient the core of one instance.
+    Every caller here runs trial t on stream t; ``stream`` stays its own
+    argument because perfbench/workloads.py calls ``run_trial(cfg, i, i)``."""
+    mark = time.perf_counter()
     timings: dict[str, float] = {}
 
     def lap(stage: str) -> None:
@@ -175,7 +177,6 @@ def run_trial(cfg: ExperimentConfig, trial: int, stream: int) -> TrialRecord:
         kappa=None if st.kappa is None else float(st.kappa),
         mu_hat=st.mu_hat,
         orientable=orientable,
-        seconds=mark - t0,
         degree_counts=degree_counts,
         timings=timings,
     )
@@ -207,8 +208,8 @@ def _run_batch(cfg: ExperimentConfig) -> list[TrialRecord]:
         kappa = "undefined" if r.kappa is None else f"{r.kappa:.5f}"
         print(
             f"  trial {r.trial} (stream {r.stream}): core {r.n_core}, "
-            f"kappa {kappa}, orientable {r.orientable}, {r.seconds:.1f}s "
-            f"({stages})",
+            f"kappa {kappa}, orientable {r.orientable}, "
+            f"{sum(r.timings.values()):.1f}s ({stages})",
             file=sys.stderr,
         )
     return records
@@ -285,16 +286,16 @@ def _params(args) -> OrientationParams:
     return OrientationParams(args.h, args.w, args.k)
 
 
-def _config(args, mu_bar: float, check_orientability: bool = False) -> ExperimentConfig:
+def _config(args, check_orientability: bool = False) -> ExperimentConfig:
     return ExperimentConfig(
-        args.h, args.w, args.k, args.n, mu_bar, args.trials, args.seed,
+        args.h, args.w, args.k, args.n, args.mu, args.trials, args.seed,
         check_orientability=check_orientability,
     )
 
 
 def _record_dict(r: TrialRecord) -> dict:
     d = dataclasses.asdict(r)
-    for key in ("seconds", "degree_counts", "timings"):
+    for key in ("degree_counts", "timings"):
         d.pop(key)
     d["m_core"] = {str(s): c for s, c in sorted(r.m_core.items())}
     return d
@@ -344,24 +345,22 @@ class HittingRecord:
     seconds: float = dataclasses.field(compare=False)
 
 
-def hitting_load(
-    p: OrientationParams, n: int, seed: int, trial: int, stream: int
-) -> HittingRecord:
+def hitting_load(p: OrientationParams, n: int, seed: int, trial: int) -> HittingRecord:
     """Locate one instance's hitting count by integer bisection.
 
-    The instance is ``sample_uniform_multi`` on ``stream`` at m_max =
-    floor(k·n/w) + 1 rows.  Its first m rows are the m-edge sample that
-    ``run_trial`` draws on that stream, and orientability is monotone in
-    the edge set, so ``run_trial`` at m edges is orientable exactly when
-    m < m_star.  At m_max the demand w·m_max exceeds k·n, and peeling
-    grants at most k signs per removed vertex, so that core has w-density
-    above k: non-orientable by counting.  A bisection that only peels finds
+    The instance is ``sample_uniform_multi`` on stream ``trial`` (the
+    record's ``stream``) at m_max = floor(k·n/w) + 1 rows.  Its first m rows
+    are the m-edge sample that ``run_trial`` draws on that stream, and
+    orientability is monotone in the edge set, so ``run_trial`` at m edges
+    is orientable exactly when m < m_star.  At m_max the demand w·m_max
+    exceeds k·n, and peeling grants at most k signs per removed vertex, so
+    that core has w-density above k: non-orientable by counting.  A bisection that only peels finds
     a, the last prefix before the first dense core; one flow on a's core
     then gives m_star = a+1.  If a's core does not orient, the search
     bisects [0, a] on the flow verdict itself, with density_agrees False.
     """
     t0 = time.perf_counter()
-    rng = RngSeed(seed, stream).generator()
+    rng = RngSeed(seed, trial).generator()
     H = sample_uniform_multi(n, p.k * n // p.w + 1, p.h, rng)
 
     def core(m: int) -> Hypergraph:
@@ -393,7 +392,7 @@ def hitting_load(
         a, _ = last_pass(a, fails)
     m_star = a + 1
     return HittingRecord(
-        trial, stream, m_star, p.h * m_star / n, agrees, time.perf_counter() - t0
+        trial, trial, m_star, p.h * m_star / n, agrees, time.perf_counter() - t0
     )
 
 
@@ -630,10 +629,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_ode(args) -> int:
     p = _params(args)
-    kwargs = {}
-    if args.tol is not None:
-        kwargs = {"rtol": args.tol, "atol": args.tol * 1e-2}
-    params = OdeParams(p, args.mu, **kwargs)
+    params = OdeParams(p, args.mu) if args.tol is None else OdeParams(p, args.mu, args.tol)
     payload = {"h": p.h, "w": p.w, "k": p.k, "mu_bar": args.mu}
     traj = stats = reason = None
     try:
@@ -692,7 +688,7 @@ def _cmd_simulate(args) -> int:
     p = _params(args)
     if args.mu is not None:
         # single-point mode: orientable fraction at one mean degree
-        cfg = _config(args, args.mu, check_orientability=True)
+        cfg = _config(args, check_orientability=True)
         batch = _run_batch(cfg)
         frac = sum(1 for r in batch if r.orientable) / len(batch)
         mode = {
@@ -705,7 +701,7 @@ def _cmd_simulate(args) -> int:
     else:
         # hitting mode: one hitting load per instance, instance t on stream t
         _check_counts(args.n, args.trials)
-        jobs = [(p, args.n, args.seed, t, t) for t in range(args.trials)]
+        jobs = [(p, args.n, args.seed, t) for t in range(args.trials)]
         hits = _pool_map(hitting_load, jobs)
         for r in hits:
             print(f"  instance {r.trial} (stream {r.stream}): m* {r.m_star}, load "
@@ -731,7 +727,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_core_profile(args) -> int:
-    cfg = _config(args, args.mu)
+    cfg = _config(args)
     report = core_profile(cfg)
     pred = report.prediction
     predicted = _stats_dict(pred)
@@ -912,7 +908,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, StiffnessError, BracketError) as exc:
         print(f"wkorient: error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,7 +46,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .hypergraph import OrientationParams
 from .peeling import ProcessTrace
-from .poisson import initial_conditions, solve_lambda, truncated_poisson_pmf
+from .poisson import solve_lambda, truncated_poisson_pmf
 
 __all__ = [
     "OdeParams",
@@ -89,18 +89,18 @@ SAMPLE_POINTS = 512
 
 @dataclass(frozen=True)
 class OdeParams:
-    """Integration controls for one (h, w, k, mu_bar) run."""
+    """Integration controls for one (h, w, k, mu_bar) run: the relative
+    tolerance rtol, with the absolute one at rtol/100."""
 
     p: OrientationParams
     mu_bar: float
     rtol: float = 1e-12
-    atol: float = 1e-14
 
     def __post_init__(self):
         if not 0 < self.mu_bar < math.inf:
             raise DomainError(f"mu_bar must be positive and finite, got {self.mu_bar}")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.rtol < math.inf:
+            raise ValueError(f"rtol must be positive and finite, got {self.rtol}")
 
 
 def f_star(a: float, b: float, z_l: float) -> float:
@@ -323,10 +323,13 @@ class Trajectory:
 
 
 def _initial_vector(params: OdeParams) -> np.ndarray:
-    z_l0, z_b0, z_hv0, _ = initial_conditions(params.mu_bar, params.p.k)
-    nb = params.p.w - 1
+    """The start, from the Poisson(mu_bar) degree law: z_L = mu_bar
+    P(Po <= k-1), z_B = mu_bar and z_HV = P(Po >= k+1), no residual edge.
+    z_L takes the upper gamma itself: where it is tiny, 1 - P(Po >= k)
+    keeps none of its digits."""
+    mu, k, nb = params.mu_bar, params.p.k, params.p.w - 1
     y0 = np.zeros(2 * nb + 3)
-    y0[2 * nb :] = z_l0, z_b0, z_hv0
+    y0[2 * nb :] = mu * special.gammaincc(k, mu), mu, special.gammainc(k + 1, mu)
     return y0
 
 
@@ -353,7 +356,7 @@ def _solve(sys: _System, y0: np.ndarray):
         events=sys.events(),
         dense_output=True,
         rtol=params.rtol,
-        atol=params.atol,
+        atol=params.rtol * 1e-2,
         first_step=min(_split(sys.p, y0)[0] / 10.0, params.mu_bar / 2),
     )
     if sol.status == -1:

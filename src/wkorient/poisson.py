@@ -19,12 +19,10 @@ from scipy import special
 
 __all__ = [
     "poisson_tail",
-    "poisson_tail_complement",
     "log_poisson_tail",
     "solve_lambda",
     "LambdaSolveError",
     "truncated_poisson_pmf",
-    "initial_conditions",
 ]
 
 # below this, scipy's regularized gamma loses relative accuracy to underflow
@@ -36,26 +34,13 @@ def poisson_tail(k: int, mu: float) -> float:
     """P(Poisson(mu) >= k); by convention 1 for k <= 0.
 
     Computed as the regularized lower incomplete gamma P(k, mu), which is
-    exactly the Poisson upper tail.
+    exactly the Poisson upper tail.  A negative or nan mu raises ValueError.
     """
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if k <= 0:
         return 1.0
     return float(special.gammainc(k, mu))
-
-
-def poisson_tail_complement(k: int, mu: float) -> float:
-    """P(Poisson(mu) <= k-1), i.e. 1 - poisson_tail(k, mu), computed directly.
-
-    The complement can be ~1e-6 or smaller where 1 - tail would retain no
-    significant digits, so it gets its own gammaincc evaluation.
-    """
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    if k <= 0:
-        return 0.0
-    return float(special.gammaincc(k, mu))
 
 
 def _log_pmf(j: int, mu: float) -> float:
@@ -87,7 +72,8 @@ def _tail_series(k: int, mu: float) -> tuple[float, float]:
 
 
 def log_poisson_tail(k: int, mu: float) -> float:
-    """log P(Poisson(mu) >= k), stable even deep in the left tail."""
+    """log P(Poisson(mu) >= k), stable even deep in the left tail; a
+    negative or nan mu raises ValueError (from `poisson_tail`) for k >= 1."""
     if k <= 0:
         return 0.0
     if mu == 0.0:
@@ -127,9 +113,10 @@ def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:
     solution exists iff mu > k+1.
 
     Bracketed Newton on the mean (bisection fallback); `x0` warm-starts the
-    iteration.  A residual above 1e-12 * mu raises LambdaSolveError.
+    iteration.  A mean outside (k+1, inf), nan included, raises ValueError;
+    a residual above 1e-12 * mu raises LambdaSolveError.
     """
-    if mu <= k + 1:
+    if not k + 1 < mu < math.inf:
         raise ValueError(
             f"no truncated-Poisson rate has mean {mu} with support >= {k + 1}"
         )
@@ -159,23 +146,9 @@ def solve_lambda(mu: float, k: int, x0: float | None = None) -> float:
 
 def truncated_poisson_pmf(j: int, lam: float, kk: int) -> float:
     """P(X = j) for X ~ Poisson(lam) conditioned on X >= kk (the plain
-    Poisson pmf for kk <= 0)."""
-    if lam <= 0:
-        raise ValueError(f"rate must be positive, got {lam}")
+    Poisson pmf for kk <= 0); a rate outside (0, inf) raises ValueError."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {lam}")
     if j < kk:
         return 0.0
     return math.exp(_log_pmf(j, lam) - log_poisson_tail(kk, lam))
-
-
-def initial_conditions(mu_bar: float, k: int) -> tuple[float, float, float, float]:
-    """Start of the peeling ODE: (z_L(0), z_B(0), z_HV(0), lambda(0)).
-
-    z_B(0) = mu_bar (balls per vertex), z_L(0) = mu_bar * P(Pois <= k-1)
-    (balls in light bins), z_HV(0) = P(Pois >= k+1) (heavy-vertex fraction),
-    lambda(0) = mu_bar.
-    """
-    if mu_bar <= 0:
-        raise ValueError(f"mu_bar must be positive, got {mu_bar}")
-    z_l0 = mu_bar * poisson_tail_complement(k, mu_bar)
-    z_hv0 = poisson_tail(k + 1, mu_bar)
-    return z_l0, mu_bar, z_hv0, mu_bar

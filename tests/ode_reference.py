@@ -24,7 +24,7 @@ from wkorient.ode import (
     _stats_from_state,
     _System,
 )
-from wkorient.poisson import initial_conditions, poisson_tail
+from wkorient.poisson import poisson_tail
 
 
 def _poisson_pmf(j: int, lam: float) -> float:
@@ -65,8 +65,8 @@ def integrate_lambda_state(
     mu = (z_B - z_L)/z_HV on it (nan where z_HV <= 0), and the core read
     off the ending as `integrate` reads it."""
     sys = LambdaStateSystem(params)
-    lam0 = initial_conditions(params.mu_bar, params.p.k)[3]
-    y0 = np.append(_initial_vector(params), lam0)
+    # at x = 0 the heavy degrees are Po(mu_bar) given >= k+1: lambda = mu_bar
+    y0 = np.append(_initial_vector(params), params.mu_bar)
     sol, x_star, y_star, ending = _solve(sys, y0)
     x = np.linspace(0.0, x_star, SAMPLE_POINTS)
     y = sol.sol(x)

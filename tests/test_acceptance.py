@@ -37,14 +37,16 @@ from wkorient.hypergraph import (
     verify_orientation,
 )
 from wkorient.models import RngSeed, sample_uniform_multi
-from wkorient.ode import OdeParams, find_threshold, integrate
-from wkorient.peeling import ExtensionConflictError, extend_orientation, rancore
-from wkorient.poisson import (
-    poisson_tail,
-    poisson_tail_complement,
-    solve_lambda,
-    truncated_poisson_pmf,
+from wkorient.ode import (
+    InitialStateError,
+    OdeParams,
+    _initial_vector,
+    _split,
+    find_threshold,
+    integrate,
 )
+from wkorient.peeling import ExtensionConflictError, extend_orientation, rancore
+from wkorient.poisson import poisson_tail, solve_lambda, truncated_poisson_pmf
 
 pytestmark = pytest.mark.acceptance
 
@@ -352,7 +354,8 @@ def test_rate_inversion_and_tail_identities():
         assert err <= 1e-9, (mu, k, lam, back)
         worst_rt = max(worst_rt, err)
 
-    # tails against exact rational partial sums, P(< k) = e^-mu sum mu^j/j!
+    # tails against exact rational partial sums, P(< k) = e^-mu sum mu^j/j!:
+    # the ODE's start holds mu P(< k) as its light ball mass z_L(0)
     for k in range(1, 21):
         for mu_rat in (
             Fraction(1, 4),
@@ -365,8 +368,9 @@ def test_rate_inversion_and_tail_identities():
                 Fraction(mu_rat**j, math.factorial(j)) for j in range(k)
             )
             expected = math.exp(-float(mu_rat)) * float(head)
-            got = poisson_tail_complement(k, float(mu_rat))
-            assert got == pytest.approx(expected, rel=1e-11, abs=1e-300)
+            p = OrientationParams(3, 2, k)
+            z_l0 = _split(p, _initial_vector(OdeParams(p, float(mu_rat))))[0]
+            assert z_l0 / float(mu_rat) == pytest.approx(expected, rel=1e-11, abs=1e-300)
             assert poisson_tail(k, float(mu_rat)) == pytest.approx(
                 1.0 - expected, abs=1e-12
             )
@@ -408,7 +412,7 @@ def test_integration_is_tolerance_stable_and_monotone():
     def kappa_at(p: OrientationParams, mu_bar: float) -> float:
         try:
             _, stats = integrate(OdeParams(p, mu_bar))
-        except ValueError:
+        except InitialStateError:
             return 0.0  # below the heavy-vertex domain: no core
         return 0.0 if stats.kappa is None else stats.kappa  # empty or unknown: no core
 

@@ -340,6 +340,32 @@ def test_trial_records_of_one_seed_compare_equal():
     assert run_trial(cfg, 0, 0) == run_trial(cfg, 0, 0)
 
 
+def test_trial_timings_name_each_stage():
+    cfg = ExperimentConfig(3, 2, 4, 500, 5.5, 1, 3, check_orientability=True)
+    timings = run_trial(cfg, 0, 0).timings
+    assert list(timings) == ["sample", "peel", "stats", "orient"]
+    assert all(t >= 0.0 for t in timings.values())
+
+
+def test_simulate_prints_each_trial_time_as_its_stage_sum(capsys, monkeypatch):
+    import wkorient.cli as cli
+
+    monkeypatch.setenv("WKORIENT_WORKERS", "1")
+    records = []
+
+    def recorded(*job):
+        records.append(run_trial(*job))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "run_trial", recorded)
+    assert main(["simulate", *HWK, "--n", "500", "--mu", "5.5", "--trials", "3"]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("  trial ")]
+    assert len(lines) == len(records) == 3
+    for line, r in zip(lines, records):
+        stages = ", ".join(f"{k} {v:.2f}" for k, v in r.timings.items())
+        assert line.endswith(f", {sum(r.timings.values()):.1f}s ({stages})")
+
+
 def test_simulate_rejects_a_second_mu(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--h", "3", "--w", "2", "--k", "4", "--n", "400",
@@ -368,7 +394,7 @@ def test_hitting_load_is_the_first_failing_prefix(hwk):
     p = OrientationParams(*hwk)
     for n in (6, 10, 20):
         for stream in range(6):
-            rec = hitting_load(p, n, 0, stream, stream)
+            rec = hitting_load(p, n, 0, stream)
             assert rec.m_star == _first_failing_prefix(p, n, 0, stream), (n, stream)
             assert rec.load == p.h * rec.m_star / n
 
@@ -377,7 +403,7 @@ def test_hitting_load_settles_a_density_disagreement_by_flows():
     # at n = 6 repeated vertices leave some sparse cores non-orientable, so
     # the first dense prefix comes too late and the search bisects on flows
     p = OrientationParams(3, 2, 4)
-    rec = hitting_load(p, 6, 0, 1, 1)
+    rec = hitting_load(p, 6, 0, 1)
     assert not rec.density_agrees
     assert rec.m_star == _first_failing_prefix(p, 6, 0, 1)
 
@@ -388,7 +414,7 @@ def test_run_trial_orients_exactly_below_the_hitting_count():
     for hwk, n in (((3, 2, 4), 300), ((3, 2, 2), 200)):
         p = OrientationParams(*hwk)
         for t in range(4):
-            m_star = hitting_load(p, n, 7, t, t).m_star
+            m_star = hitting_load(p, n, 7, t).m_star
             for m in (m_star - 3, m_star - 1, m_star, m_star + 2):
                 cfg = ExperimentConfig(*hwk, n, p.h * m / n, 1, 7, check_orientability=True)
                 assert cfg.num_edges == m
@@ -577,6 +603,8 @@ SIM = ["simulate", *HWK, "--n", "200", "--trials", "1"]
         (["WKORIENT_WORKERS=0", *SIM, "--mu", "5"], "'0'"),
         ([*SIM, "--mu", "5", "--n", "0"], "n=0"),
         ([*SIM, "--mu", "5", "--trials", "0"], "trials=0"),
+        (["ode", *HWK, "--mu", "5", "--tol", "inf"], "inf"),
+        (["ode", *HWK, "--mu", "5", "--tol", "nan"], "nan"),
     ],
 )
 def test_bad_tolerances_and_mean_degrees_exit_1(argv, bad, capsys, monkeypatch):
@@ -593,6 +621,30 @@ def test_bad_tolerances_and_mean_degrees_exit_1(argv, bad, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("wkorient: error: ")
     assert bad in captured.err
+
+
+def test_ode_reports_a_stalled_integrator_in_one_line(capsys):
+    # DOP853 cannot hold rtol 1e-16 (scipy raises it to 2.2e-14 and warns),
+    # and with atol = rtol/100 its step size collapses
+    with pytest.warns(UserWarning, match="rtol"):
+        assert main(["ode", *HWK, "--mu", "5", "--tol", "1e-16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wkorient: error: integrator failed: ")
+    assert "Traceback" not in captured.err
+
+
+def test_threshold_reports_a_bracket_failure_in_one_line(capsys, monkeypatch):
+    import wkorient.cli as cli
+
+    def no_sign_change(p, tol=1e-4):
+        raise BracketError("synthetic: no sign change")
+
+    monkeypatch.setattr(cli, "find_threshold", no_sign_change)
+    assert main(["threshold", *HWK]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wkorient: error: synthetic: no sign change\n"
 
 
 def test_library_calls_reject_bad_tolerances_and_mean_degrees():

@@ -25,14 +25,19 @@ from wkorient.ode import (
     trajectory_vs_trace,
 )
 from wkorient.peeling import ProcessTrace, rancore
-from wkorient.poisson import initial_conditions, poisson_tail
+from wkorient.poisson import poisson_tail
 
 P324 = OrientationParams(3, 2, 4)
-FAST = dict(rtol=1e-10, atol=1e-12)
+FAST = dict(rtol=1e-10)
 
 
 def _solve(p, mu_bar, **kw):
     return integrate(OdeParams(p, mu_bar, **{**FAST, **kw}))
+
+
+def _start(p, mu_bar):
+    """z_L, z_B and z_HV of the ODE's start."""
+    return ode._split(p, ode._initial_vector(OdeParams(p, mu_bar)))[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +71,9 @@ def test_ode_params_validation():
     for mu_bar in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="positive and finite"):
             OdeParams(P324, mu_bar)
-    with pytest.raises(ValueError):
-        OdeParams(P324, 5.0, rtol=0.0)
+    for rtol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rtol must be positive and finite"):
+            OdeParams(P324, 5.0, rtol=rtol)
 
 
 def test_columns_hold_the_mean_degree_identity():
@@ -188,7 +194,7 @@ def test_almost_everything_is_heavy_at_large_mean():
 
 def test_all_light_mass_underflows_to_instant_core():
     traj, stats = integrate(OdeParams(P324, 1e4))
-    z_l0, _, z_hv0, _ = initial_conditions(1e4, P324.k)
+    z_l0, _, z_hv0 = _start(P324, 1e4)
     assert z_l0 == 0.0
     assert stats.x_star == 0.0
     assert stats.alpha == z_hv0
@@ -206,7 +212,7 @@ def test_trajectory_csv_layout():
     assert lines[0] == "x,z_L,z_B,z_HV,z_L_3,z_L_2,z_H_3,z_H_2,lambda,mu"
     assert len(lines) >= 17
     first = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
-    z_l0, z_b0, z_hv0, _ = initial_conditions(6.0, P324.k)
+    z_l0, z_b0, z_hv0 = _start(P324, 6.0)
     assert first["x"] == 0.0
     assert first["z_L"] == pytest.approx(z_l0, rel=1e-9)
     assert first["z_B"] == pytest.approx(z_b0, rel=1e-9)

@@ -11,13 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import f_k_mp, solve_lambda_mp, truncated_mean_mp
+import wkorient.ode as ode
 import wkorient.poisson as poisson
+from wkorient.hypergraph import OrientationParams
+from wkorient.ode import DomainError, OdeParams
 from wkorient.poisson import (
     LambdaSolveError,
-    initial_conditions,
     log_poisson_tail,
     poisson_tail,
-    poisson_tail_complement,
     solve_lambda,
     truncated_poisson_pmf,
 )
@@ -31,6 +32,21 @@ MU_MINUS_LAMBDA_60_40 = 0.0888961417
 MU_MINUS_LAMBDA_80_40 = 2.35229116e-5
 MU_MINUS_LAMBDA_100_40 = 4.55938999e-10
 TRUNC_MEAN_3_GE2 = 3.5595088334929184
+
+
+def _start(mu_bar, k, w=2):
+    """z_L, z_B and z_HV of the ODE's start at (h, w, k) = (w+1, w, k)."""
+    p = OrientationParams(w + 1, w, k)
+    return ode._split(p, ode._initial_vector(OdeParams(p, mu_bar)))[:3]
+
+
+def _regularized_gamma_mp(k, mu, upper):
+    """Q(k, mu) = P(Po(mu) <= k-1) (upper) or P(k, mu) = P(Po(mu) >= k),
+    by mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        mu = mpmath.mpf(mu)
+        ends = (mu, mpmath.inf) if upper else (0, mu)
+        return float(mpmath.gammainc(k, *ends, regularized=True))
 
 
 def test_tail_convention_below_one():
@@ -48,13 +64,6 @@ def test_tail_frozen_values():
 def test_tail_rejects_negative_mu():
     with pytest.raises(ValueError):
         poisson_tail(2, -0.5)
-
-
-def test_tail_complement_convention_and_domain():
-    assert poisson_tail_complement(0, 3.0) == 0.0
-    assert poisson_tail_complement(-2, 3.0) == 0.0
-    with pytest.raises(ValueError):
-        poisson_tail_complement(2, -0.5)
 
 
 def test_log_tail_at_zero_rate():
@@ -84,19 +93,21 @@ def test_tail_matches_mpmath(k, mu):
 
 
 def test_tail_complement_is_not_one_minus():
-    """The lower tail must come out exact even when it is ~1e-75."""
+    """The ODE's light share z_L(0)/mu_bar = P(Po <= k-1) must come out
+    exact even when it is ~1e-75."""
     with mpmath.workdps(60):
         want = float(1 - f_k_mp(5, 200.0))
-    got = poisson_tail_complement(5, 200.0)
+    z_l0, _, _ = _start(200.0, 5)
     assert want < 1e-60
-    assert got == pytest.approx(want, rel=1e-12)
+    assert z_l0 / 200.0 == pytest.approx(want, rel=1e-12)
 
 
 def test_tail_pair_sums_to_one():
+    # the ODE's light share P(Po <= k-1) and the tail P(Po >= k)
     for k in (1, 4, 33):
         for mu in (0.2, 5.0, 78.0):
-            total = poisson_tail(k, mu) + poisson_tail_complement(k, mu)
-            assert total == pytest.approx(1.0, abs=1e-14)
+            z_l0, _, _ = _start(mu, k)
+            assert poisson_tail(k, mu) + z_l0 / mu == pytest.approx(1.0, abs=1e-14)
 
 
 @given(
@@ -214,10 +225,18 @@ def test_solve_lambda_rejects_a_mean_below_the_support():
             solve_lambda(mu, 2)
 
 
-def test_initial_conditions_reject_a_nonpositive_mean():
-    for mu_bar in (0.0, -1.0):
-        with pytest.raises(ValueError, match="mu_bar must be positive"):
-            initial_conditions(mu_bar, 2)
+def test_rate_layer_rejects_non_finite_input():
+    # nan would run the tail series to its term guard; inf has no rate
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"mean {bad} "):
+            solve_lambda(bad, 4)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            truncated_poisson_pmf(3, bad, 2)
+    for tail in (poisson_tail, log_poisson_tail):
+        with pytest.raises(ValueError, match="got nan"):
+            tail(4, math.nan)
+    assert poisson_tail(4, math.inf) == 1.0
+    assert log_poisson_tail(4, math.inf) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +273,37 @@ def test_heavy_bin_share_identity():
     assert truncated_poisson_pmf(3, 4000.0, 3) < 1e-200
 
 
+# ---------------------------------------------------------------------------
+# the ODE's start, off the Poisson(mu_bar) degree law (`ode._initial_vector`)
+
+
+def test_initial_conditions_reject_a_nonpositive_mean():
+    # the start is read off OdeParams, which admits no such mean
+    for mu_bar in (0.0, -1.0):
+        with pytest.raises(DomainError, match="mu_bar must be positive"):
+            _start(mu_bar, 2)
+
+
 def test_initial_conditions_formulas():
-    for mu_bar, k in ((5.485, 4), (14.766, 10), (2.0, 1)):
-        z_l0, z_b0, z_hv0, lam0 = initial_conditions(mu_bar, k)
+    for mu_bar, k, w in ((5.485, 4, 2), (14.766, 10, 2), (2.0, 1, 3)):
+        p = OrientationParams(w + 1, w, k)
+        y0 = ode._initial_vector(OdeParams(p, mu_bar))
+        assert not y0[: 2 * (w - 1)].any()  # no residual edge yet
+        z_l0, z_b0, z_hv0 = ode._split(p, y0)[:3]
         assert z_b0 == mu_bar
-        assert lam0 == mu_bar
-        assert z_hv0 == pytest.approx(poisson_tail(k + 1, mu_bar), rel=1e-13)
+        # heavy vertices: P(Poisson(mu_bar) >= k+1)
+        assert z_hv0 == pytest.approx(_regularized_gamma_mp(k + 1, mu_bar, False), rel=1e-13)
         # light balls: mu_bar * P(Poisson(mu_bar) <= k-1)
-        assert z_l0 == pytest.approx(
-            mu_bar * poisson_tail_complement(k, mu_bar), rel=1e-13
-        )
+        assert z_l0 == pytest.approx(mu_bar * _regularized_gamma_mp(k, mu_bar, True), rel=1e-13)
+        # heavy degrees are Poisson(mu_bar) given >= k+1, so their rate
+        # lambda(0), where tests/ode_reference.py starts, is mu_bar
+        assert solve_lambda((z_b0 - z_l0) / z_hv0, k) == pytest.approx(mu_bar, rel=1e-9)
 
 
 def test_initial_conditions_tail_limits():
-    z_l0, _, z_hv0, _ = initial_conditions(500.0, 4)
-    assert z_l0 < 1e-150
+    # at mu_bar = 500 the light mass keeps digits where 1 - tail has none
+    z_l0, _, z_hv0 = _start(500.0, 4)
+    assert 1.0 - poisson_tail(4, 500.0) == 0.0
+    assert 0.0 < z_l0 < 1e-150
+    assert z_l0 == pytest.approx(500.0 * _regularized_gamma_mp(4, 500.0, True), rel=1e-12)
     assert z_hv0 == pytest.approx(1.0, abs=1e-12)
