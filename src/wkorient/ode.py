@@ -7,8 +7,9 @@ q = P(Po(x) >= k); seen from a vertex, an edge survives with chance
 r = P(Bin(h-1, q) >= h-w); and mean degree mu_bar gives x = mu_bar r.  So
 mu(x) = x / r(q(x)) is explicit (Molloy, RSA 2005; Lelarge, SODA 2012,
 here with edges that shrink to h-w+1 vertices).  It falls to one minimum
-mu_c, where the core emerges (`core_emergence`), and rises after it; the
-core at mu_bar >= mu_c is read off the root on [x_c, mu_bar]
+mu_c, where the core emerges (`core_emergence`, by Brent's bounded
+minimizer: `_bounded_minimum`, scipy's steps in plain floats), and rises
+after it; the core at mu_bar >= mu_c is read off the root on [x_c, mu_bar]
 (`core_fixed_point`), and `find_threshold` bisects in x.
 
 The ODE draws the process itself: `integrate` follows the light/heavy
@@ -42,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .hypergraph import OrientationParams
 from .peeling import ProcessTrace
@@ -86,11 +87,16 @@ class InitialStateError(ValueError):
 # Points on the grid a trajectory is sampled at, from 0 to its ending.
 SAMPLE_POINTS = 512
 
+# The smallest rtol DOP853 runs at: scipy raises any smaller one to this
+# and only warns.
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class OdeParams:
     """Integration controls for one (h, w, k, mu_bar) run: the relative
-    tolerance rtol, with the absolute one at rtol/100."""
+    tolerance rtol, at least 100 machine epsilons (2.2e-14), with the
+    absolute one at rtol/100."""
 
     p: OrientationParams
     mu_bar: float
@@ -101,6 +107,9 @@ class OdeParams:
             raise DomainError(f"mu_bar must be positive and finite, got {self.mu_bar}")
         if not 0 < self.rtol < math.inf:
             raise ValueError(f"rtol must be positive and finite, got {self.rtol}")
+        if self.rtol < _RTOL_FLOOR:
+            raise ValueError(f"rtol must be at least 100 * machine epsilon = {_RTOL_FLOOR}, "
+                             f"the integrator's floor, got {self.rtol}")
 
 
 def f_star(a: float, b: float, z_l: float) -> float:
@@ -264,7 +273,8 @@ def _core_stats(
 
 def _kappa(p: OrientationParams, beta: dict, alpha: float) -> Optional[float]:
     """Core density: the signs its edges owe per core vertex (None: empty)."""
-    return sum(p.sign_demand(s) * b for s, b in beta.items()) / alpha if alpha > 0 else None
+    h_w = p.h - p.w  # an edge of size s owes s - (h - w) signs
+    return sum((s - h_w) * b for s, b in beta.items()) / alpha if alpha > 0 else None
 
 
 def _read_states(p: OrientationParams, y: np.ndarray) -> dict[str, np.ndarray]:
@@ -412,7 +422,9 @@ def _mean_degree(p: OrientationParams, x: float, q: Optional[float] = None) -> f
     """mu(x) = x / r(q), q = q(x) unless given; at x = 0 its limit, 1/(h-1)
     where k(h-w) = 1 (r ~ (h-1) x there), else inf; inf where r underflows."""
     h, w, k = p.h, p.w, p.k
-    r = float(special.bdtrc(h - w - 1, h - 1, special.gammainc(k, x) if q is None else q))
+    if q is None:
+        q = float(special.gammainc(float(k), x))
+    r = float(special.bdtrc(h - w - 1, h - 1, q))
     if r > 0.0:
         return x / r
     return 1.0 / (h - 1) if x == 0.0 and k * (h - w) == 1 else math.inf
@@ -425,9 +437,10 @@ def _beta(p: OrientationParams, mu_bar: float, q: float) -> dict:
 
 def _mean_degree_and_kappa(p: OrientationParams, x: float) -> tuple[float, Optional[float]]:
     """`_mean_degree(p, x)` and the density of `_core_at` there, off one q."""
-    q = float(special.gammainc(p.k, x))
+    k = float(p.k)
+    q = float(special.gammainc(k, x))
     mu = _mean_degree(p, x, q)
-    return mu, _kappa(p, _beta(p, mu, q), float(special.gammainc(p.k + 1, x)))
+    return mu, _kappa(p, _beta(p, mu, q), float(special.gammainc(k + 1.0, x)))
 
 
 def _core_at(p: OrientationParams, mu_bar: float, x: float) -> CoreStats:
@@ -450,9 +463,9 @@ def core_emergence(p: OrientationParams) -> tuple[float, float]:
 
     Where k(h-w) = 1, mu(x) rises from its limit 1/(h-1) at x_c = 0: the
     core grows continuously from nothing.  Elsewhere the minimum is found
-    in log x on [x_lo, hk/w]: q <= x^k/k! and r <= C(h-1, h-w) q^(h-w) give
-    mu(x) >= A x^(1-k(h-w)), A = k!^(h-w)/C(h-1, h-w), so mu(x) >= mu(hk/w)
-    for every x <= x_lo.
+    in log x on [x_lo, hk/w], to 1e-10 in log x (`_bounded_minimum`):
+    q <= x^k/k! and r <= C(h-1, h-w) q^(h-w) give mu(x) >= A x^(1-k(h-w)),
+    A = k!^(h-w)/C(h-1, h-w), so mu(x) >= mu(hk/w) for every x <= x_lo.
     """
     h, w, k = p.h, p.w, p.k
     m = k * (h - w)
@@ -461,11 +474,81 @@ def core_emergence(p: OrientationParams) -> tuple[float, float]:
     x_hi = h * k / w
     log_a = (h - w) * math.lgamma(k + 1) - math.log(math.comb(h - 1, h - w))
     t_lo = (log_a - math.log(_mean_degree(p, x_hi))) / (m - 1)
-    res = minimize_scalar(
-        lambda t: _mean_degree(p, math.exp(t)), bounds=(t_lo, math.log(x_hi)),
-        method="bounded", options={"xatol": 1e-10},
+    t_c, mu_c = _bounded_minimum(
+        lambda t: _mean_degree(p, math.exp(t)), t_lo, math.log(x_hi), xatol=1e-10
     )
-    return math.exp(res.x), float(res.fun)
+    return math.exp(t_c), mu_c
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_minimum(func: Callable[[float], float], a: float, b: float,
+                     xatol: float) -> tuple[float, float]:
+    """Brent's bounded minimizer (Brent 1973, ch. 5) of func on [a, b]:
+    the point found and func there.  A copy of scipy's
+    `minimize_scalar(method="bounded")`, step for step and with its
+    500-evaluation cap, in plain floats (scipy's numpy scalars cost more
+    than the objective here); it returns the same floats."""
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = fnfc = ffulc = func(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        # a step of at least tol1, in rat's direction (+ for a zero rat)
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 def core_fixed_point(p: OrientationParams, mu_bar: float) -> CoreStats:

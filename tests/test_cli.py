@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -623,15 +625,33 @@ def test_bad_tolerances_and_mean_degrees_exit_1(argv, bad, capsys, monkeypatch):
     assert bad in captured.err
 
 
-def test_ode_reports_a_stalled_integrator_in_one_line(capsys):
-    # DOP853 cannot hold rtol 1e-16 (scipy raises it to 2.2e-14 and warns),
-    # and with atol = rtol/100 its step size collapses
-    with pytest.warns(UserWarning, match="rtol"):
-        assert main(["ode", *HWK, "--mu", "5", "--tol", "1e-16"]) == 1
+def test_ode_reports_a_stalled_integrator_in_one_line(capsys, monkeypatch):
+    import wkorient.ode as ode
+
+    def stalled(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(status=-1, t=np.array([0.0, 0.25]), message=(
+            "Required step size is less than spacing between numbers."))
+
+    monkeypatch.setattr(ode, "solve_ivp", stalled)
+    assert main(["ode", *HWK, "--mu", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("wkorient: error: integrator failed: ")
-    assert "Traceback" not in captured.err
+    assert captured.err == ("wkorient: error: integrator failed: Required step size is less "
+                            "than spacing between numbers.; last x=0.25\n")
+
+
+def test_ode_rejects_a_tolerance_below_the_integrators_floor(capsys):
+    # DOP853 would raise rtol 1e-15 to 100 machine epsilons and only warn;
+    # the floor itself runs without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ode", *HWK, "--mu", "5", "--tol", "1e-15"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("wkorient: error: rtol must be at least 100 * machine epsilon "
+                                "= 2.220446049250313e-14, the integrator's floor, got 1e-15\n")
+        assert main(["ode", *HWK, "--mu", "5", "--tol", repr(100 * sys.float_info.epsilon)]) == 0
+    assert capsys.readouterr().out.startswith("x,z_L,z_B,z_HV,")
 
 
 def test_threshold_reports_a_bracket_failure_in_one_line(capsys, monkeypatch):

@@ -2,10 +2,14 @@
 
 import hashlib
 import io
+import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.optimize import brentq, minimize_scalar
 
 from ode_reference import integrate_lambda_state
 from oracles import classical_core_fixed_point, iterated_core_fixed_point
@@ -74,6 +78,9 @@ def test_ode_params_validation():
     for rtol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rtol must be positive and finite"):
             OdeParams(P324, 5.0, rtol=rtol)
+    with pytest.raises(ValueError, match=r"at least 100 \* machine epsilon = 2.220446049250313e-14"):
+        OdeParams(P324, 5.0, rtol=1e-15)
+    OdeParams(P324, 5.0, rtol=2.220446049250313e-14)
 
 
 def test_columns_hold_the_mean_degree_identity():
@@ -301,6 +308,65 @@ def test_core_emergence_finds_the_minimum():
         assert core_emergence(OrientationParams(h, w, k)) == (0.0, 1.0 / (h - 1))
 
 
+def _reference_mean_degree(p, x):
+    """`ode._mean_degree` as it was: gammainc given the int k, and bdtrc
+    given gammainc's numpy-scalar q."""
+    h, w, k = p.h, p.w, p.k
+    r = float(special.bdtrc(h - w - 1, h - 1, special.gammainc(k, x)))
+    if r > 0.0:
+        return x / r
+    return 1.0 / (h - 1) if x == 0.0 and k * (h - w) == 1 else math.inf
+
+
+def _reference_emergence(p, mean_degree=_reference_mean_degree):
+    """`core_emergence` as it was: scipy's bounded minimizer in log x."""
+    h, w, k = p.h, p.w, p.k
+    m = k * (h - w)
+    if m == 1:
+        return 0.0, mean_degree(p, 0.0)
+    x_hi = h * k / w
+    log_a = (h - w) * math.lgamma(k + 1) - math.log(math.comb(h - 1, h - w))
+    t_lo = (log_a - math.log(mean_degree(p, x_hi))) / (m - 1)
+    res = minimize_scalar(
+        lambda t: mean_degree(p, math.exp(t)), bounds=(t_lo, math.log(x_hi)),
+        method="bounded", options={"xatol": 1e-10},
+    )
+    return math.exp(res.x), float(res.fun)
+
+
+def _counted(fn, counts, key):
+    def wrapper(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_emergence_equals_scipys_bounded_minimizer(monkeypatch):
+    # every (h, w) with h <= 20 across k: the same floats from the same
+    # number of mean-degree evaluations
+    counts = {}
+    monkeypatch.setattr(ode, "_mean_degree", _counted(ode._mean_degree, counts, "package"))
+    reference = _counted(_reference_mean_degree, counts, "reference")
+    for h in range(2, 21):
+        for w in range(1, h):
+            for k in (1, 2, 3, 4, 5, 6, 7, 10, 20, 40, 100, 200):
+                p = OrientationParams(h, w, k)
+                counts.clear()
+                assert repr(core_emergence(p)) == repr(_reference_emergence(p, reference)), p
+                assert counts["package"] == counts["reference"], p
+
+
+def test_bounded_minimum_stops_at_scipys_evaluation_cap():
+    # xatol 1e-300 never converges: both stop at the 500th evaluation
+    counts = {}
+    res = minimize_scalar(_counted(abs, counts, "scipy"), bounds=(-1.0, 2.0),
+                          method="bounded", options={"xatol": 1e-300})
+    got = ode._bounded_minimum(_counted(abs, counts, "package"), -1.0, 2.0, xatol=1e-300)
+    assert res.nfev == 500 and res.status == 1
+    assert counts == {"scipy": 500, "package": 500}
+    assert repr(got) == repr((float(res.x), float(res.fun)))
+
+
 @pytest.mark.parametrize("hwk", EMERGENCE)
 def test_fixed_point_matches_the_q_iteration_above_emergence(hwk):
     p = OrientationParams(*hwk)
@@ -372,19 +438,52 @@ def test_threshold_within_float_noise_of_the_counting_bound(hwk, mu_tilde):
         assert res.mu_tilde == pytest.approx(mu_tilde, rel=1e-12)
 
 
-def _reference_threshold(p, tol):
-    """`find_threshold` as it was before it shared work: emergence solved
-    a second time by its closing `core_fixed_point`, and a full core built
+def _reference_core(p, mu_bar, x):
+    """`ode._core_at` as it was: the core at rate x, its density weighted
+    by `sign_demand`."""
+    h, w, k = p.h, p.w, p.k
+    q = float(special.gammainc(k, x))
+    edges = mu_bar / h
+    beta = {s: edges * math.comb(h, s) * q**s * (1.0 - q) ** (h - s) for s in p.sizes}
+    x_star = mu_bar / h * w * float(special.bdtr(h - w, h, q)) + sum(
+        (h - s) * b for s, b in beta.items()
+    )
+    alpha = float(special.gammainc(k + 1, x))
+    kappa = mu_hat = None
+    if alpha > 0:
+        kappa = sum(p.sign_demand(s) * b for s, b in beta.items()) / alpha
+        mu_hat = sum(s * b for s, b in beta.items()) / alpha
+    return ode.CoreStats(x_star, alpha, beta, kappa, mu_hat, "fixed_point")
+
+
+def _reference_fixed_point(p, mu_bar, x_c, mu_c):
+    """`ode._fixed_point` as it was, on the reference mean degree and core."""
+    if mu_bar < mu_c:
+        return _reference_core(p, mu_bar, 0.0)
+
+    def gap(x):
+        return _reference_mean_degree(p, x) - mu_bar
+
+    if not gap(x_c) <= 0.0 <= gap(mu_bar):
+        raise BracketError(f"mu(x) = {mu_bar} has no root on x in [{x_c}, "
+                           f"{mu_bar}] at (h, w, k) = ({p.h}, {p.w}, {p.k})")
+    return _reference_core(p, mu_bar, brentq(gap, x_c, mu_bar))
+
+
+def _reference_threshold(p, tol, emergence=_reference_emergence):
+    """`find_threshold` as it was before it shared work, on none of the
+    package's solver functions: emergence through scipy's bounded minimizer,
+    solved a second time by the closing fixed point, and a full core built
     at each end and bisection point.  The solve must equal it bit for bit."""
-    x_c, mu_c = ode.core_emergence(p)
+    x_c, mu_c = emergence(p)
     x_lo, x_hi = x_c, p.h * p.k / p.w
-    mu_lo, mu_hi = mu_c, ode._mean_degree(p, x_hi)
-    kappa_lo = ode._core_at(p, mu_lo, x_lo).kappa
-    kappa_hi = ode._core_at(p, mu_hi, x_hi).kappa
+    mu_lo, mu_hi = mu_c, _reference_mean_degree(p, x_hi)
+    kappa_lo = _reference_core(p, mu_lo, x_lo).kappa
+    kappa_hi = _reference_core(p, mu_hi, x_hi).kappa
     if kappa_hi <= p.k:
         x_hi *= 2
-        mu_hi = ode._mean_degree(p, x_hi)
-        kappa_hi = ode._core_at(p, mu_hi, x_hi).kappa
+        mu_hi = _reference_mean_degree(p, x_hi)
+        kappa_hi = _reference_core(p, mu_hi, x_hi).kappa
     if not ((kappa_lo is None or kappa_lo <= p.k) and p.k < kappa_hi):
         raise BracketError(f"core density {kappa_lo} to {kappa_hi} on x in [{x_lo}, "
                            f"{x_hi}] at (h, w, k) = ({p.h}, {p.w}, {p.k})")
@@ -393,15 +492,15 @@ def _reference_threshold(p, tol):
         x = 0.5 * (x_lo + x_hi)
         if x in (x_lo, x_hi):
             break
-        mu_x = ode._mean_degree(p, x)
-        kappa_x = ode._core_at(p, mu_x, x).kappa
+        mu_x = _reference_mean_degree(p, x)
+        kappa_x = _reference_core(p, mu_x, x).kappa
         if kappa_x <= p.k:
             x_lo, mu_lo, kappa_lo = x, mu_x, kappa_x
         else:
             x_hi, mu_hi, kappa_hi = x, mu_x, kappa_x
         iterations += 1
     mu_tilde = mu_c if x_c == 0.0 else 0.5 * (mu_lo + mu_hi)
-    stats = core_fixed_point(p, mu_tilde)
+    stats = _reference_fixed_point(p, mu_tilde, *emergence(p))
     return ode.ThresholdResult(mu_tilde, (mu_lo, mu_hi), kappa_lo, kappa_hi, iterations, stats)
 
 
@@ -431,7 +530,9 @@ def test_threshold_bracket_errors_keep_their_messages(monkeypatch):
         core_fixed_point(P324, 5.0)
     assert str(got.value) == "mu(x) = 5.0 has no root on x in [10.0, 5.0] at (h, w, k) = (3, 2, 4)"
     monkeypatch.setattr(ode, "core_emergence", lambda p: (6.0, ode._mean_degree(p, 6.0)))
-    assert _outcome(find_threshold, P324, 1e-4) == _outcome(_reference_threshold, P324, 1e-4)
+    reference = partial(_reference_threshold,
+                        emergence=lambda p: (6.0, _reference_mean_degree(p, 6.0)))
+    assert _outcome(find_threshold, P324, 1e-4) == _outcome(reference, P324, 1e-4)
     assert _outcome(find_threshold, P324, 1e-4).startswith("BracketError: core density ")
 
 
@@ -456,8 +557,8 @@ def test_threshold_solves_emergence_once_and_builds_one_core(monkeypatch):
 def test_bisection_point_reads_mean_degree_and_density_bit_for_bit():
     def same(p, x):
         mu, kappa = ode._mean_degree_and_kappa(p, x)
-        assert repr(mu) == repr(ode._mean_degree(p, x)), (p, x)
-        assert repr(kappa) == repr(ode._core_at(p, mu, x).kappa), (p, x)
+        assert repr(mu) == repr(_reference_mean_degree(p, x)), (p, x)
+        assert repr(kappa) == repr(_reference_core(p, mu, x).kappa), (p, x)
         return kappa
 
     for h, w, k in CONTINUOUS:
