@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
-from scipy import special
+from scipy.special.cython_special import chdtrc
 
 from .flow import CutWitness, orient
 from .hypergraph import (
@@ -453,7 +453,7 @@ def _truncated_poisson_chi2(
         return None, None, None
     expected *= observed.sum() / expected.sum()
     stat = float(((observed - expected) ** 2 / expected).sum())
-    return stat, float(special.chdtrc(dof, stat)), dof
+    return stat, chdtrc(dof, stat), dof
 
 
 def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:

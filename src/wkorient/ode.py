@@ -10,7 +10,9 @@ here with edges that shrink to h-w+1 vertices).  It falls to one minimum
 mu_c, where the core emerges (`core_emergence`, by Brent's bounded
 minimizer: `_bounded_minimum`, scipy's steps in plain floats), and rises
 after it; the core at mu_bar >= mu_c is read off the root on [x_c, mu_bar]
-(`core_fixed_point`), and `find_threshold` bisects in x.
+(`core_fixed_point`), and `find_threshold` bisects in x.  q and r are
+scalar calls to `scipy.special.cython_special`, the same C loops as the
+ufuncs (same bits) without numpy's per-call dispatch.
 
 The ODE draws the process itself: `integrate` follows the light/heavy
 ball buckets as the peel runs, for the `ode` command and for comparison
@@ -41,9 +43,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special.cython_special import bdtr, bdtrc, gammainc, gammaincc
 
 from .hypergraph import OrientationParams
 from .peeling import ProcessTrace
@@ -339,7 +341,7 @@ def _initial_vector(params: OdeParams) -> np.ndarray:
     keeps none of its digits."""
     mu, k, nb = params.mu_bar, params.p.k, params.p.w - 1
     y0 = np.zeros(2 * nb + 3)
-    y0[2 * nb :] = mu * special.gammaincc(k, mu), mu, special.gammainc(k + 1, mu)
+    y0[2 * nb :] = mu * gammaincc(k, mu), mu, gammainc(k + 1, mu)
     return y0
 
 
@@ -423,8 +425,8 @@ def _mean_degree(p: OrientationParams, x: float, q: Optional[float] = None) -> f
     where k(h-w) = 1 (r ~ (h-1) x there), else inf; inf where r underflows."""
     h, w, k = p.h, p.w, p.k
     if q is None:
-        q = float(special.gammainc(float(k), x))
-    r = float(special.bdtrc(h - w - 1, h - 1, q))
+        q = gammainc(k, x)
+    r = bdtrc(h - w - 1, h - 1, q)
     if r > 0.0:
         return x / r
     return 1.0 / (h - 1) if x == 0.0 and k * (h - w) == 1 else math.inf
@@ -437,10 +439,9 @@ def _beta(p: OrientationParams, mu_bar: float, q: float) -> dict:
 
 def _mean_degree_and_kappa(p: OrientationParams, x: float) -> tuple[float, Optional[float]]:
     """`_mean_degree(p, x)` and the density of `_core_at` there, off one q."""
-    k = float(p.k)
-    q = float(special.gammainc(k, x))
+    q = gammainc(p.k, x)
     mu = _mean_degree(p, x, q)
-    return mu, _kappa(p, _beta(p, mu, q), float(special.gammainc(k + 1.0, x)))
+    return mu, _kappa(p, _beta(p, mu, q), gammainc(p.k + 1, x))
 
 
 def _core_at(p: OrientationParams, mu_bar: float, x: float) -> CoreStats:
@@ -450,12 +451,10 @@ def _core_at(p: OrientationParams, mu_bar: float, x: float) -> CoreStats:
     granted on the way (w per dead edge, h-s per surviving one), matching
     `integrate`'s x at its z_L ending."""
     h, w, k = p.h, p.w, p.k
-    q = float(special.gammainc(k, x))
+    q = gammainc(k, x)
     beta = _beta(p, mu_bar, q)
-    x_star = mu_bar / h * w * float(special.bdtr(h - w, h, q)) + sum(
-        (h - s) * b for s, b in beta.items()
-    )
-    return _core_stats(p, x_star, "fixed_point", float(special.gammainc(k + 1, x)), beta)
+    x_star = mu_bar / h * w * bdtr(h - w, h, q) + sum((h - s) * b for s, b in beta.items())
+    return _core_stats(p, x_star, "fixed_point", gammainc(k + 1, x), beta)
 
 
 def core_emergence(p: OrientationParams) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from scipy import special
+from scipy.special.cython_special import gammainc
 
 __all__ = [
     "poisson_tail",
@@ -40,7 +40,7 @@ def poisson_tail(k: int, mu: float) -> float:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if k <= 0:
         return 1.0
-    return float(special.gammainc(k, mu))
+    return gammainc(k, mu)
 
 
 def _log_pmf(j: int, mu: float) -> float:
