@@ -297,7 +297,6 @@ def _record_dict(r: TrialRecord) -> dict:
     d = dataclasses.asdict(r)
     for key in ("degree_counts", "timings"):
         d.pop(key)
-    d["m_core"] = {str(s): c for s, c in sorted(r.m_core.items())}
     return d
 
 
@@ -319,7 +318,7 @@ def _stats_dict(stats: CoreStats) -> dict:
     return {
         "x_star": stats.x_star,
         "alpha": stats.alpha,
-        "beta": {str(s): b for s, b in sorted(stats.beta.items())},
+        "beta": dict(sorted(stats.beta.items())),
         "kappa": stats.kappa,
         "mu_hat": stats.mu_hat,
         "terminated_by": stats.terminated_by,
@@ -583,8 +582,7 @@ def _cmd_orient(args) -> int:
     if args.format == "json":
         return _emit(args, "orient", _orient_payload(result), code=code)
     if code == 0:
-        lines = [f"{i}: " + " ".join(map(str, s)) for i, s in enumerate(result.signs)]
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{i}: {' '.join(map(str, s))}\n" for i, s in enumerate(result.signs))
     elif result.degenerate_edge is not None:
         text = f"non-orientable\ndegenerate-edge: {result.degenerate_edge}\n"
     else:
@@ -596,8 +594,7 @@ def _cmd_orient(args) -> int:
 
 def _orient_payload(result: Orientation | CutWitness) -> dict:
     if isinstance(result, Orientation):
-        signs = {str(i): list(s) for i, s in enumerate(result.signs)}
-        return {"orientable": True, "signs": signs}
+        return {"orientable": True, "signs": dict(enumerate(result.signs))}
     if result.degenerate_edge is not None:
         return {"orientable": False, "degenerate_edge": result.degenerate_edge}
     return {"orientable": False, "S": list(result.S), "kappa_S": str(result.kappa_S)}
@@ -614,7 +611,7 @@ def _cmd_stats(args) -> int:
     payload = {
         "n": H.n,
         "m": H.num_edges,
-        "edges_by_size": {str(s): c for s, c in sizes.items()},
+        "edges_by_size": sizes,
         "total_demand": int(H.sign_demands(p).sum()),
         "kappa": None if kappa is None else str(kappa),
         "kappa_float": None if kappa is None else float(kappa),
@@ -735,7 +732,7 @@ def _cmd_core_profile(args) -> int:
         "config": dataclasses.asdict(cfg),
         "prediction": predicted,
         "mean_alpha": report.mean_alpha,
-        "mean_beta": {str(s): b for s, b in report.mean_beta.items()},
+        "mean_beta": report.mean_beta,
         "mean_kappa": report.mean_kappa,
         "mean_mu_hat": report.mean_mu_hat,
         "deviations": report.deviations,

@@ -58,14 +58,6 @@ class OrientationParams:
         """Admissible residual edge sizes, largest first: h, h-1, .., h-w+1."""
         return tuple(range(self.h, self.min_edge_size - 1, -1))
 
-    def sign_demand(self, size: int) -> int:
-        """Signs owed by an edge of the given size: w - (h - size)."""
-        if not (self.min_edge_size <= size <= self.h):
-            raise ValueError(
-                f"edge size {size} outside [{self.min_edge_size}, {self.h}]"
-            )
-        return self.w - (self.h - size)
-
 
 def _sort_rows(ptr: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """verts with every row ptr[i]:ptr[i+1] in ascending order; returned
@@ -98,7 +90,19 @@ class _Rows:
             ptr, verts = _csr(rows)
         # own copies, so the caller's arrays stay theirs to change
         ptr = np.array(ptr, dtype=np.int64)
-        verts = _sort_rows(ptr, np.array(verts, dtype=np.int64))
+        verts = np.array(verts, dtype=np.int64)
+        if ptr.ndim != 1 or verts.ndim != 1:
+            raise ValueError(f"CSR ptr and verts must be 1-d, got shapes "
+                             f"{ptr.shape} and {verts.shape}")
+        if len(ptr) == 0 or ptr[0] != 0:
+            raise ValueError(f"CSR ptr must start at 0, got {ptr[:1].tolist()}")
+        fall = np.flatnonzero(ptr[1:] < ptr[:-1])
+        if len(fall):
+            i = int(fall[0])
+            raise ValueError(f"CSR ptr decreases at row {i}: {ptr[i]} to {ptr[i + 1]}")
+        if ptr[-1] != len(verts):
+            raise ValueError(f"CSR ptr ends at {ptr[-1]}, but verts has {len(verts)} entries")
+        verts = _sort_rows(ptr, verts)
         ptr.flags.writeable = verts.flags.writeable = False
         self.__dict__.update(ptr=ptr, verts=verts)
 
@@ -246,7 +250,7 @@ def w_induced_subgraph(H: Hypergraph, S: Iterable[int], p: OrientationParams) ->
 def verify_orientation(H: Hypergraph, o: Orientation, p: OrientationParams):
     """Check a candidate orientation; returns (ok, reason).
 
-    Valid means: every size-s edge carries exactly sign_demand(s) signs, all
+    Valid means: every size-s edge carries exactly w - (h - s) signs, all
     distinct and drawn from the edge's own vertices, and no vertex collects
     more than k signs overall.  The first failing edge is reported.
     """

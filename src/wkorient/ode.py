@@ -117,23 +117,17 @@ class OdeParams:
 def f_star(a: float, b: float, z_l: float) -> float:
     """Extension of (a/z_l)*(a/b) used for the shrink-rate terms.
 
-    Matches the Lipschitz continuation: exact ratio on 0 <= a <= b with
-    b > 0; 0 at the double origin; b/z_l when a overshoots b; absolute
-    values elsewhere.  z_l <= 0 (outside the domain) contributes 0 — the
+    Matches the Lipschitz continuation: b/z_l when a overshoots b >= 0,
+    else a*a/(z_l |b|), which is the exact ratio on 0 <= a <= b, and 0
+    where b vanishes.  z_l <= 0 (outside the domain) contributes 0 — the
     events own that region.
     """
     if z_l <= 0.0:
         return 0.0
-    if a == 0.0 and b == 0.0:
-        return 0.0
-    if 0.0 <= a <= b:
-        return a * a / (z_l * b)
     if a > b >= 0.0:
         return b / z_l
-    aa, bb = abs(a), abs(b)
-    if bb == 0.0:
-        return 0.0
-    return aa * aa / (z_l * bb)
+    bb = abs(b)
+    return 0.0 if bb == 0.0 else a * a / (z_l * bb)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -233,7 +227,7 @@ class _System:
             zL, zB, zHV, *_ = _split(p, y)
             return (zB - zL) - (p.k + 2) * zHV
 
-        evs = [ev_zl, ev_heavy, ev_hv, ev_mu]
+        evs = [ev_zl, ev_heavy, ev_hv, ev_mu]  # z_L first: it wins a tie (`_solve`)
         for ev in evs:
             ev.terminal = True
             ev.direction = -1
@@ -377,14 +371,9 @@ def _solve(sys: _System, y0: np.ndarray):
         raise StiffnessError(
             f"no boundary event before x={params.mu_bar}; final state {sol.y[:, -1]}"
         )
-    fired = [i for i, te in enumerate(sol.t_events) if len(te)]
-    idx = min(fired, key=lambda i: sol.t_events[i][0])
-    # simultaneous crossings: prefer the z_L root, it defines the core
-    first = float(sol.t_events[idx][0])
-    for i in fired:
-        if _EVENT_NAMES[i] == "z_L" and sol.t_events[i][0] <= first + 1e-15:
-            idx = i
-            break
+    # every event is terminal, so scipy records only the step's first root:
+    # it sorts the roots (a tie keeps list order, z_L first) and stops there
+    idx = next(i for i, te in enumerate(sol.t_events) if len(te))
     return sol, float(sol.t_events[idx][0]), sol.y_events[idx][0], _EVENT_NAMES[idx]
 
 

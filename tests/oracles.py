@@ -76,6 +76,14 @@ def sign_demand(h: int, w: int, size: int) -> int:
     return w - (h - size)
 
 
+def window_demand(e, p: OrientationParams) -> int:
+    """`sign_demand` of edge e, which must have a size in [h-w+1, h]."""
+    s = len(e)
+    if not p.h - p.w < s <= p.h:
+        raise ValueError(f"edge {tuple(e)} has size {s}, outside [{p.h - p.w + 1}, {p.h}]")
+    return sign_demand(p.h, p.w, s)
+
+
 def kappa_exact(edges, n: int, h: int, w: int) -> Fraction:
     num = sum(sign_demand(h, w, len(e)) for e in edges)
     return Fraction(num, n)
@@ -174,7 +182,6 @@ def subset_stats(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> Subse
     Sset = frozenset(S)
     if any(v < 0 or v >= H.n for v in Sset):
         raise ValueError("subset contains vertices outside the hypergraph")
-    H.validate_sizes(p)
     d_S = 0
     m_table: dict[tuple[int, int], int] = {}
     rho = nu = eta = 0
@@ -182,6 +189,7 @@ def subset_stats(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> Subse
     over = 0  # sum over edges of max(0, i - sign_demand) clipped per the table
     for e in H.edges:
         s = len(e)
+        demand = window_demand(e, p)
         i = sum(1 for v in e if v in Sset)
         if i == 0:
             continue
@@ -193,7 +201,6 @@ def subset_stats(H: Hypergraph, S: Iterable[int], p: OrientationParams) -> Subse
             rho += 1
         if i < s:
             eta += 1
-        demand = p.sign_demand(s)
         if i > demand:
             over += i - demand
     return SubsetStats(Sset, d_S, m_table, rho, nu, eta, q, d_S - over)
@@ -257,7 +264,7 @@ def expansion_condition(H: Hypergraph, S: Iterable[int], p: OrientationParams) -
     density <= k, which is the orientability certificate on simple edges.
     """
     st = subset_stats(H, S, p)
-    total_demand = sum(p.sign_demand(len(e)) for e in H.edges)
+    total_demand = sum(sign_demand(p.h, p.w, len(e)) for e in H.edges)
     return st.dstar >= p.k * len(st.S) + total_demand - p.k * H.n
 
 
@@ -277,7 +284,7 @@ def hakimi_check(H: Hypergraph, p: OrientationParams, max_n: int = 20) -> bool:
     if H.n > max_n:
         raise ValueError(f"exhaustive density check capped at n={max_n}")
     for e in H.edges:
-        if len(set(e)) < p.sign_demand(len(e)):
+        if len(set(e)) < window_demand(e, p):
             return False
     return all_subsets_kappa_ok(H.edges, H.n, p.h, p.w, p.k)
 

@@ -118,6 +118,18 @@ def test_orient_names_a_degenerate_edge(tmp_path, capsys):
     assert "S" not in payload
 
 
+@pytest.mark.parametrize("text", ["3 0\n", "0 0\n"])
+def test_orient_prints_no_line_for_an_edgeless_file(tmp_path, capsys, text):
+    # one "edge: signs" line per edge, so none for no edge
+    empty = _write(tmp_path, "empty.hg", text)
+    hwk = ["--h", "3", "--w", "2", "--k", "1"]
+    assert main(["orient", empty, *hwk]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["orient", empty, *hwk, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["orientable"], payload["signs"]) == (True, {})
+
+
 def test_orient_reports_parse_errors(tmp_path, capsys):
     bad = _write(tmp_path, "bad.hg", "2 1\n0 x\n")
     assert main(["orient", bad, "--h", "2", "--w", "1", "--k", "1"]) == 1

@@ -14,6 +14,7 @@ from oracles import (
     check_deterministic_conditions,
     check_property_A,
     expansion_condition,
+    hakimi_check,
     kappa_exact,
     recommended_gamma,
     subset_stats,
@@ -75,10 +76,23 @@ def test_params_must_be_integers():
 def test_sign_demand_and_size_window():
     p = OrientationParams(5, 3, 2)
     assert p.min_edge_size == 3
-    assert [p.sign_demand(s) for s in (3, 4, 5)] == [1, 2, 3]
+    H = Hypergraph(5, [(0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)])
+    H.validate_sizes(p)
+    assert H.sign_demands(p).tolist() == [1, 2, 3]
     for bad in (2, 6):
-        with pytest.raises(ValueError):
-            p.sign_demand(bad)
+        with pytest.raises(ValueError, match=f"has size {bad}, outside \\[3, 5\\]"):
+            Hypergraph(6, [range(bad)]).validate_sizes(p)
+
+
+def test_oracles_reject_edges_outside_the_size_window():
+    # the second edge lies outside [3, 3] though S = {3} does not touch it
+    H, p = Hypergraph(4, [(0, 1, 2), (0, 1)]), OrientationParams(3, 1, 1)
+    fault = r"edge \(0, 1\) has size 2, outside \[3, 3\]"
+    for oracle in (subset_stats, expansion_condition):
+        with pytest.raises(ValueError, match=fault):
+            oracle(H, [3], p)
+    with pytest.raises(ValueError, match=fault):
+        hakimi_check(H, p)
 
 
 def test_edges_are_canonicalized():
@@ -105,6 +119,24 @@ def test_container_rejects_bad_edges():
         Hypergraph(3, [()])
     with pytest.raises(ValueError):
         Hypergraph(-1, [])
+
+
+@pytest.mark.parametrize(
+    "ptr, verts, fragment",
+    [
+        ([0, 2], [0, 1, 2], "ptr ends at 2, but verts has 3 entries"),  # an orphan ball
+        ([0, 3], [0, 1, 2, 0], "ptr ends at 3, but verts has 4 entries"),
+        ([1, 4], [0, 1, 2, 0], r"ptr must start at 0, got \[1\]"),
+        ([], [], r"ptr must start at 0, got \[\]"),
+        ([0, 3, 2], [0, 1, 2], "ptr decreases at row 1: 3 to 2"),
+        ([[0, 3]], [0, 1, 2], r"must be 1-d, got shapes \(1, 2\) and \(3,\)"),
+    ],
+)
+def test_malformed_csr_is_named(ptr, verts, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Hypergraph(3, ptr=ptr, verts=verts)
+    with pytest.raises(ValueError, match=fragment):
+        Orientation(ptr=ptr, verts=verts)
 
 
 def test_degrees_count_multiplicity():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import re
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy import special
 from scipy.optimize import brentq, minimize_scalar
 
 from ode_reference import integrate_lambda_state
-from oracles import classical_core_fixed_point, iterated_core_fixed_point
+from oracles import classical_core_fixed_point, iterated_core_fixed_point, sign_demand
 from wkorient.hypergraph import OrientationParams
 from wkorient.models import RngSeed, sample_uniform_multi
 import wkorient.ode as ode
@@ -59,6 +60,46 @@ def test_f_star_cases():
 
 def test_f_star_with_a_vanished_denominator():
     assert f_star(-1.0, 0.0, 1.0) == 0.0
+
+
+def _reference_f_star(a, b, z_l):
+    """`f_star` as it was, one branch per case of its docstring."""
+    if z_l <= 0.0:
+        return 0.0
+    if a == 0.0 and b == 0.0:
+        return 0.0
+    if 0.0 <= a <= b:
+        return a * a / (z_l * b)
+    if a > b >= 0.0:
+        return b / z_l
+    aa, bb = abs(a), abs(b)
+    if bb == 0.0:
+        return 0.0
+    return aa * aa / (z_l * bb)
+
+
+def _outcome(f, *args) -> str:
+    """repr of f(*args), or the type and text of the error it raises."""
+    try:
+        return repr(f(*args))
+    except (BracketError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_f_star_is_its_reference_bit_for_bit():
+    edge = [0.0, 5e-324, 2.2e-308, 1e-300, 1e-160, 0.3, 0.7, 1.0, 1e160, 1e300,
+            math.inf, math.nan]
+    rng = np.random.default_rng(12)
+    values = [*edge, *(-v for v in edge), *rng.uniform(-2.0, 2.0, 24).tolist()]
+    outcomes = set()
+    for a in values:
+        for b in values:
+            for z_l in values:
+                got = _outcome(f_star, a, b, z_l)
+                assert got == _outcome(_reference_f_star, a, b, z_l), (a, b, z_l)
+                outcomes.add(got)
+    # z_l |b| underflows to 0 on some triples
+    assert "ZeroDivisionError: float division by zero" in outcomes and "nan" in outcomes
 
 
 def test_no_heavy_vertex_means_no_migration():
@@ -197,6 +238,36 @@ def test_almost_everything_is_heavy_at_large_mean():
         slack = 3.0 * (1.0 - poisson_tail(P324.k, mu_bar)) * mu_bar
         assert 0.0 < stats.x_star <= slack
         assert stats.alpha >= 1.0 - 8.0 * slack
+
+
+def test_integration_records_exactly_the_ending_it_reports(monkeypatch):
+    """Every event is terminal, so scipy records one root per run, and
+    integrate's ending is that root's event."""
+    solved = []
+
+    def solve(sys, y0):
+        out = real_solve(sys, y0)
+        solved.append(out[0])
+        return out
+
+    real_solve = ode._solve
+    monkeypatch.setattr(ode, "_solve", solve)
+    endings = Counter()
+    for h in range(2, 5):
+        for w in range(1, h):
+            for k in (2, 6):
+                for mu_bar in (3.0, 5.0, 8.0):
+                    solved.clear()
+                    try:
+                        _, stats = _solve(OrientationParams(h, w, k), mu_bar)
+                    except ode.InitialStateError:
+                        continue
+                    (sol,) = solved
+                    recorded = [(name, len(te)) for name, te
+                                in zip(ode._EVENT_NAMES, sol.t_events) if len(te)]
+                    assert recorded == [(stats.terminated_by, 1)], (h, w, k, mu_bar)
+                    endings[stats.terminated_by] += 1
+    assert endings["z_L"] > 0 and endings["mu_floor"] > 0, endings
 
 
 def test_all_light_mass_underflows_to_instant_core():
@@ -451,7 +522,7 @@ def _reference_core(p, mu_bar, x):
     alpha = float(special.gammainc(k + 1, x))
     kappa = mu_hat = None
     if alpha > 0:
-        kappa = sum(p.sign_demand(s) * b for s, b in beta.items()) / alpha
+        kappa = sum(sign_demand(h, w, s) * b for s, b in beta.items()) / alpha
         mu_hat = sum(s * b for s, b in beta.items()) / alpha
     return ode.CoreStats(x_star, alpha, beta, kappa, mu_hat, "fixed_point")
 
@@ -502,13 +573,6 @@ def _reference_threshold(p, tol, emergence=_reference_emergence):
     mu_tilde = mu_c if x_c == 0.0 else 0.5 * (mu_lo + mu_hi)
     stats = _reference_fixed_point(p, mu_tilde, *emergence(p))
     return ode.ThresholdResult(mu_tilde, (mu_lo, mu_hi), kappa_lo, kappa_hi, iterations, stats)
-
-
-def _outcome(solve, p, tol) -> str:
-    try:
-        return repr(solve(p, tol))
-    except BracketError as exc:
-        return f"BracketError: {exc}"
 
 
 def test_threshold_equals_the_reference_bit_for_bit():

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dict_orient, fifo_peel, peel_views, tuple_network
+from oracles import dict_orient, fifo_peel, peel_views, sign_demand, tuple_network
 from wkorient.flow import CutWitness, build_network, orient
 from wkorient.hypergraph import Hypergraph, Orientation, OrientationParams
 from wkorient.models import RngSeed, sample_uniform_multi
@@ -48,7 +48,7 @@ def test_round_parallel_peel_matches_fifo_peel(inst):
     for ei, signed in enumerate(peel_signs):
         per_vertex.update(signed)
         assert Counter(signed) <= Counter(H.edges[ei])  # signs sit on own balls
-        demand = p.sign_demand(len(H.edges[ei]))
+        demand = sign_demand(p.h, p.w, len(H.edges[ei]))
         if edge_fate[ei] is None:
             assert len(signed) == demand
         else:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_core, peel_views, tuple_extend
+from oracles import brute_force_core, peel_views, sign_demand, tuple_extend
 from wkorient.flow import orient
 from wkorient.hypergraph import (
     Hypergraph,
@@ -157,7 +157,7 @@ def test_peel_signs_respect_capacity_and_demand(inst):
     per_vertex = Counter()
     for ei, signed in enumerate(peel_signs):
         per_vertex.update(signed)
-        demand = p.sign_demand(len(H.edges[ei]))
+        demand = sign_demand(p.h, p.w, len(H.edges[ei]))
         if fate[ei] is None:
             assert len(signed) == demand  # fully peeled: all signs granted
         else:
