@@ -53,17 +53,17 @@ def main(argv=None) -> int:
                 args.h, args.w, args.k, args.n, mu_bar, args.trials, args.seed
             )
             rep = core_profile(cfg)
-            pred = rep.prediction
-            a_p, k_p, m_p = pred.alpha, pred.kappa, pred.mu_hat
+            pred = rep["prediction"]
+            a_p, k_p, m_p = pred["alpha"], pred["kappa"], pred["mu_hat"]
             writer.writerow([
-                f"{mu_bar:.4f}", f"{a_p:.6f}", f"{rep.mean_alpha:.6f}",
-                _cell(k_p, 6), _cell(rep.mean_kappa, 6),
-                _cell(m_p, 6), _cell(rep.mean_mu_hat, 6),
-                _cell(rep.chi2_pvalue, 4),
+                f"{mu_bar:.4f}", f"{a_p:.6f}", f"{rep['mean_alpha']:.6f}",
+                _cell(k_p, 6), _cell(rep["mean_kappa"], 6),
+                _cell(m_p, 6), _cell(rep["mean_mu_hat"], 6),
+                _cell(rep["chi2"]["pvalue"], 4),
             ])
             print(
-                f"mu_bar={mu_bar:.3f} alpha {a_p:.4f}/{rep.mean_alpha:.4f} "
-                f"kappa {_cell(k_p, 4)}/{_cell(rep.mean_kappa, 4)}",
+                f"mu_bar={mu_bar:.3f} alpha {a_p:.4f}/{rep['mean_alpha']:.4f} "
+                f"kappa {_cell(k_p, 4)}/{_cell(rep['mean_kappa'], 4)}",
                 file=sys.stderr,
             )
     print(f"wrote {args.out}", file=sys.stderr)

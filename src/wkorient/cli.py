@@ -58,7 +58,6 @@ __all__ = [
     "ExperimentConfig",
     "TrialRecord",
     "HittingRecord",
-    "CoreProfileReport",
     "TABLE1_REFERENCE",
     "run_trial",
     "hitting_load",
@@ -122,12 +121,12 @@ class ExperimentConfig:
 @dataclasses.dataclass(frozen=True)
 class TrialRecord:
     """One sampled instance: core statistics plus the orientability verdict
-    (None when the trial didn't ask for one).  ``timings`` (wall seconds per
-    stage: sample, peel, stats, orient; the trial's wall time is their sum)
-    stays out of the persisted tables and of ``==``, so equal seeds give
-    equal bytes and equal records; ``degree_counts`` (core degree
-    histogram, index = degree) is an aggregation aid and stays out of the
-    tables too.  An empty core has no density or mean degree (None)."""
+    (None when the trial didn't ask for one).  An empty core has no density
+    or mean degree (None).  The persisted record is the fields ``==``
+    compares; two stay out of both: ``degree_counts`` (core degree
+    histogram, index = degree; equal seeds make it equal anyway) and
+    ``timings`` (wall seconds per stage: sample, peel, stats, orient; the
+    trial's wall time is their sum), so equal seeds give equal bytes."""
 
     mu_bar: float
     trial: int
@@ -137,7 +136,7 @@ class TrialRecord:
     kappa: Optional[float]
     mu_hat: Optional[float]
     orientable: Optional[bool]
-    degree_counts: tuple
+    degree_counts: tuple = dataclasses.field(compare=False)
     timings: dict = dataclasses.field(compare=False)
 
 
@@ -293,11 +292,9 @@ def _config(args, check_orientability: bool = False) -> ExperimentConfig:
     )
 
 
-def _record_dict(r: TrialRecord) -> dict:
-    d = dataclasses.asdict(r)
-    for key in ("degree_counts", "timings"):
-        d.pop(key)
-    return d
+def _record_dict(r: TrialRecord | HittingRecord) -> dict:
+    """A record as persisted: the fields its ``==`` compares."""
+    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r) if f.compare}
 
 
 def _record_row(r: TrialRecord, sizes: Sequence[int]) -> dict:
@@ -315,14 +312,7 @@ def _record_row(r: TrialRecord, sizes: Sequence[int]) -> dict:
 def _stats_dict(stats: CoreStats) -> dict:
     """A predicted core for output; an empty one has no density or mean
     degree (None)."""
-    return {
-        "x_star": stats.x_star,
-        "alpha": stats.alpha,
-        "beta": dict(sorted(stats.beta.items())),
-        "kappa": stats.kappa,
-        "mu_hat": stats.mu_hat,
-        "terminated_by": stats.terminated_by,
-    }
+    return {**dataclasses.asdict(stats), "beta": dict(sorted(stats.beta.items()))}
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +390,6 @@ def hitting_load(p: OrientationParams, n: int, seed: int, trial: int) -> Hitting
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class CoreProfileReport:
-    prediction: CoreStats
-    records: list
-    mean_alpha: float
-    mean_beta: dict
-    mean_kappa: Optional[float]  # None when no trial has a core
-    mean_mu_hat: Optional[float]
-    deviations: dict  # variable -> relative deviation of the trial mean
-    chi2_stat: Optional[float]
-    chi2_pvalue: Optional[float]
-    chi2_dof: Optional[int]
-
-
 def _pool_degree_histogram(records: Sequence[TrialRecord]) -> np.ndarray:
     """Sum the per-trial core degree histograms (index = degree)."""
     width = max((len(r.degree_counts) for r in records), default=0)
@@ -455,9 +431,14 @@ def _truncated_poisson_chi2(
     return stat, chdtrc(dof, stat), dof
 
 
-def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
+def core_profile(cfg: ExperimentConfig) -> dict:
     """Empirical core fractions vs. the fixed-point prediction, plus a
-    chi-square check of the pooled core degree histogram."""
+    chi-square check of the pooled core degree histogram.  Returns the dict
+    that ``core-profile`` writes less its two header keys: ``config``,
+    ``prediction``, the trial means ``mean_alpha``, ``mean_beta``,
+    ``mean_kappa`` and ``mean_mu_hat`` (None when no trial has a core),
+    ``deviations`` (of each mean from its prediction, relative), ``chi2``
+    (``stat``, ``pvalue``, ``dof``) and the persisted ``records``."""
     p = cfg.params
     prediction = core_fixed_point(p, cfg.mu_bar)
     records = _run_batch(cfg)
@@ -484,21 +465,18 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
     for s in sizes:
         deviations[f"beta_{s}"] = rel(mean_beta[s], prediction.beta[s])
 
-    counts = _pool_degree_histogram(records)
-    chi2_stat, chi2_pvalue, chi2_dof = _truncated_poisson_chi2(counts, cfg.k)
-
-    return CoreProfileReport(
-        prediction=prediction,
-        records=records,
-        mean_alpha=mean_alpha,
-        mean_beta=mean_beta,
-        mean_kappa=mean_kappa,
-        mean_mu_hat=mean_mu_hat,
-        deviations=deviations,
-        chi2_stat=chi2_stat,
-        chi2_pvalue=chi2_pvalue,
-        chi2_dof=chi2_dof,
-    )
+    stat, pvalue, dof = _truncated_poisson_chi2(_pool_degree_histogram(records), cfg.k)
+    return {
+        "config": dataclasses.asdict(cfg),
+        "prediction": _stats_dict(prediction),
+        "mean_alpha": mean_alpha,
+        "mean_beta": mean_beta,
+        "mean_kappa": mean_kappa,
+        "mean_mu_hat": mean_mu_hat,
+        "deviations": deviations,
+        "chi2": {"stat": stat, "pvalue": pvalue, "dof": dof},
+        "records": [_record_dict(r) for r in records],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +486,9 @@ def core_profile(cfg: ExperimentConfig) -> CoreProfileReport:
 
 def table1_rows(tol: float = 1e-4) -> list[dict]:
     """Compute the four reference parameter rows; a row whose threshold
-    cannot be found (no sign change on its bracket, a mean degree outside
-    the model) carries its error text instead of aborting the table.  Any
-    other error propagates."""
+    cannot be found (a ``BracketError``: no sign change on its bracket)
+    carries its error text instead of aborting the table.  Any other error
+    propagates."""
     rows = []
     for h, w, k, ref_mu_tilde, ref_mu_hat in TABLE1_REFERENCE:
         row = {
@@ -530,7 +508,7 @@ def table1_rows(tol: float = 1e-4) -> list[dict]:
                 delta_mu_hat=None if res.mu_hat is None else res.mu_hat - ref_mu_hat,
                 error="",
             )
-        except (BracketError, DomainError) as exc:
+        except BracketError as exc:
             row.update(
                 mu_tilde=None,
                 mu_hat=None,
@@ -711,9 +689,7 @@ def _cmd_simulate(args) -> int:
             "density_agrees_share": sum(r.density_agrees for r in hits) / len(hits),
         }
         print(f"estimate={median!r} quartiles=[{q1!r}, {q3!r}]", file=sys.stderr)
-        records = rows = [dataclasses.asdict(r) for r in hits]
-        for row in rows:
-            del row["seconds"]
+        records = rows = [_record_dict(r) for r in hits]
     payload = {
         "h": p.h, "w": p.w, "k": p.k, "n": args.n,
         "trials": args.trials, "seed": args.seed,
@@ -726,23 +702,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_core_profile(args) -> int:
     cfg = _config(args)
     report = core_profile(cfg)
-    pred = report.prediction
-    predicted = _stats_dict(pred)
-    payload = {
-        "config": dataclasses.asdict(cfg),
-        "prediction": predicted,
-        "mean_alpha": report.mean_alpha,
-        "mean_beta": report.mean_beta,
-        "mean_kappa": report.mean_kappa,
-        "mean_mu_hat": report.mean_mu_hat,
-        "deviations": report.deviations,
-        "chi2": {
-            "stat": report.chi2_stat,
-            "pvalue": report.chi2_pvalue,
-            "dof": report.chi2_dof,
-        },
-        "records": [_record_dict(r) for r in report.records],
-    }
+    pred = report["prediction"]
 
     def row(kind, alpha, beta, kappa, mu_hat, chi2_pvalue=None):
         betas = {f"beta_{s}": beta.get(s, 0.0) for s in cfg.params.sizes}
@@ -750,14 +710,14 @@ def _cmd_core_profile(args) -> int:
                 "kappa": kappa, "mu_hat": mu_hat, "chi2_pvalue": chi2_pvalue}
 
     rows = [
-        row("prediction", pred.alpha, pred.beta, predicted["kappa"], predicted["mu_hat"]),
-        row("trial-mean", report.mean_alpha, report.mean_beta, report.mean_kappa,
-            report.mean_mu_hat, report.chi2_pvalue),
+        row("prediction", pred["alpha"], pred["beta"], pred["kappa"], pred["mu_hat"]),
+        row("trial-mean", report["mean_alpha"], report["mean_beta"], report["mean_kappa"],
+            report["mean_mu_hat"], report["chi2"]["pvalue"]),
     ]
-    for r in report.records:
-        beta = {s: c / cfg.n for s, c in r.m_core.items()}
-        rows.append(row(f"trial-{r.trial}", r.n_core / cfg.n, beta, r.kappa, r.mu_hat))
-    return _emit(args, "core-profile", payload, rows=rows)
+    for r in report["records"]:
+        alpha, beta = r["n_core"] / cfg.n, {s: c / cfg.n for s, c in r["m_core"].items()}
+        rows.append(row(f"trial-{r['trial']}", alpha, beta, r["kappa"], r["mu_hat"]))
+    return _emit(args, "core-profile", report, rows=rows)
 
 
 def _cmd_table1(args) -> int:

@@ -17,6 +17,7 @@ import wkorient
 from wkorient.cli import (
     ExperimentConfig,
     _truncated_poisson_chi2,
+    core_profile,
     hitting_load,
     main,
     run_trial,
@@ -479,6 +480,18 @@ def test_core_profile_csv_rows(capsys):
     assert float(mean["alpha"]) == pytest.approx(float(pred["alpha"]), rel=0.1)
 
 
+def test_core_profile_returns_the_report_it_writes(capsys):
+    # the command writes core_profile's dict after its two header keys
+    argv = ["core-profile", "--h", "3", "--w", "2", "--k", "4", "--n", "2000",
+            "--mu", "6.0", "--trials", "2", "--seed", "5", "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc.pop("schema_version"), doc.pop("command")) == (1, "core-profile")
+    report = core_profile(ExperimentConfig(3, 2, 4, 2000, 6.0, 2, 5))
+    # through JSON, whose object keys are strings
+    assert json.loads(json.dumps(report)) == doc
+
+
 def _scipy_chisquare_cells(counts, k):
     """The core-profile chi-square as scipy.stats.chisquare computes it on
     the same cells: the rate fitted from the mean, the last cell absorbing
@@ -710,15 +723,17 @@ def test_table1_survives_row_failures(capsys, monkeypatch):
 
 
 def test_table1_lets_other_errors_propagate(monkeypatch):
-    # only a threshold that cannot be found becomes a row; a bug does not
+    # only a threshold that cannot be found becomes a row; a bug does not,
+    # and find_threshold raises no DomainError, so one is a bug too
     import wkorient.cli as cli
 
-    def broken(p, tol=1e-4):
-        raise RuntimeError("synthetic bug")
+    for error in (RuntimeError, DomainError):
+        def broken(p, tol=1e-4):
+            raise error("synthetic bug")
 
-    monkeypatch.setattr(cli, "find_threshold", broken)
-    with pytest.raises(RuntimeError, match="synthetic bug"):
-        cli.table1_rows()
+        monkeypatch.setattr(cli, "find_threshold", broken)
+        with pytest.raises(error, match="synthetic bug"):
+            cli.table1_rows()
 
 
 # ---------------------------------------------------------------------------
