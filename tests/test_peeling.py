@@ -416,6 +416,10 @@ def _randomized_peel_digest(p, mu, seed, n=2000):
          ("08e50b73b2868ef2c0c697538c7429eec0d38b0c2b366e3eec4a8d4f02abee43", 1272, 3345, 2248)),
         ((4, 2, 3), 6.5, 2,
          ("58d82909fb35cd49aebca9e26928f6e71f2fb5b1114c7b9e3760f5fef6a8b562", 1772, 3211, 580)),
+        # pins the freeing order: killing every freed ball before any degree
+        # drops differs here from freeing and migrating ball by ball
+        ((4, 2, 3), 6.5, 27,
+         ("b15bd5d7b2619622f7ceeff7a8e83d38272f1600ce3395f167df2e0cb63d263d", 1760, 3211, 611)),
     ],
 )
 def test_randomized_peel_is_pinned(hwk, mu, seed, want):
