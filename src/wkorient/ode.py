@@ -253,10 +253,6 @@ class CoreStats:
     mu_hat: Optional[float]
     terminated_by: str
 
-    @property
-    def empty(self) -> bool:
-        return self.alpha is not None and self.alpha <= 0.0
-
 
 def _core_stats(
     p: OrientationParams, x_star: float, terminated_by: str, alpha: float, beta: dict

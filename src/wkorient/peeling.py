@@ -18,12 +18,16 @@ maximal set of minimum degree k+1, so removal order cannot change it):
   2014).  Production path, vectorised over numpy arrays.
 * randomized — one uniformly random light *ball* per step, matching the
   idealized random process the ODE models; this is the mode that can emit a
-  ProcessTrace.  It is one fused scalar loop over local Python lists that
-  keeps the census on every step, traced or not.
+  ProcessTrace.  It is one fused scalar loop that keeps the census on
+  every step, traced or not.  Its integer state lives in flat C int64
+  arrays (array.array), not Python lists: each step reads a handful of
+  random positions, and a list stores pointers to separately allocated
+  ints, so every such read would miss the cache twice.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,6 +111,11 @@ def _balls_by_vertex(verts: np.ndarray) -> np.ndarray:
     stable argsort, done as one sort of unique keys because that is faster)."""
     D = len(verts)
     return np.sort(verts * D + np.arange(D)) % max(D, 1)
+
+
+def _int_array(a: np.ndarray) -> array:
+    """a as a flat array.array of C int64s."""
+    return array("q", np.ascontiguousarray(a, dtype=np.int64).tobytes())
 
 
 def _row_entries(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -217,11 +226,13 @@ def _peel_random(
     Balls are numbered in edge order and the pool of light balls starts in
     ball order, losing members by swap-remove; each step draws
     idx = int(u * len(pool)) from a 4096-value buffer.  Those three choices
-    fix the whole run for a given rng.  All state lives in local lists
-    (scalar numpy indexing would be slower).  The census per size class
-    (alive balls Bs, light balls Ls) moves when an edge shrinks, and a heavy
-    vertex turning light moves all its alive balls into Ls and the pool at
-    once.  Degrees are kept for heavy vertices only.
+    fix the whole run for a given rng.  Ball, edge and vertex state lives
+    in int64 array.arrays and bytearrays (see the module docstring; scalar
+    numpy indexing is slower still), the census in small lists.  The
+    census per size class (alive balls Bs, light balls Ls) moves when an
+    edge shrinks, and a heavy vertex turning light moves all its alive
+    balls into Ls and the pool at once.  Degrees are kept for heavy
+    vertices only.
     """
     H.validate_sizes(p)
     floor, k1, k2 = p.h - p.w, p.k + 1, p.k + 2
@@ -233,22 +244,22 @@ def _peel_random(
     Ls = np.bincount(H.sizes[row_of[ball_light]], minlength=p.h + 1).tolist()
     HV = int(np.count_nonzero(~light0))
     A = int(np.count_nonzero(deg0 == k1))
-    ball_vertex = verts.tolist()
-    ball_edge = row_of.tolist()
-    ptr = H.ptr.tolist()
-    by_vertex = _balls_by_vertex(verts).tolist()
-    vptr = np.concatenate(([0], np.cumsum(deg0))).tolist()
-    alive = [True] * len(verts)
-    esize = H.sizes.tolist()
-    deg = deg0.tolist()
-    light = light0.tolist()
-    edge_light = np.bincount(row_of[ball_light], minlength=H.num_edges).tolist()
-    pool = np.flatnonzero(ball_light).tolist()
-    pool_pos = np.zeros(len(verts), dtype=np.int64)  # read for pool members only
-    pool_pos[pool] = np.arange(len(pool))
-    pool_pos = pool_pos.tolist()
+    ball_vertex = _int_array(verts)
+    ball_edge = _int_array(row_of)
+    ptr = _int_array(H.ptr)
+    by_vertex = _int_array(_balls_by_vertex(verts))
+    vptr = _int_array(np.concatenate(([0], np.cumsum(deg0))))
+    alive = bytearray(b"\x01") * len(verts)
+    esize = _int_array(H.sizes)
+    deg = _int_array(deg0)
+    light = bytearray(light0.tobytes())
+    edge_light = _int_array(np.bincount(row_of[ball_light], minlength=H.num_edges))
+    pool = _int_array(np.flatnonzero(ball_light))
+    # a member's place is the count of light balls before it; read for
+    # pool members only
+    pool_pos = _int_array(np.cumsum(ball_light) - 1)
     pool_pop, pool_append = pool.pop, pool.append
-    step_ball: list[int] = []  # one removed ball per step, each step one sign
+    step_ball = array("q")  # one removed ball per step, each step one sign
     log = step_ball.append
 
     t = 0
@@ -263,7 +274,7 @@ def _peel_random(
             idx = int(u * len(pool))
             b = pool[idx]
             log(b)
-            alive[b] = False
+            alive[b] = 0
             last = pool_pop()
             if last != b:
                 pool[idx] = last
@@ -287,7 +298,7 @@ def _peel_random(
                 Bs[s] -= 1 + len(freed)
                 Ls[s] -= 1
                 for c in freed:
-                    alive[c] = False
+                    alive[c] = 0
                     if light[ball_vertex[c]]:
                         Ls[s] -= 1
                         i = pool_pos[c]
@@ -307,7 +318,7 @@ def _peel_random(
                         # heavy to light: its alive balls join Ls and the pool
                         A -= 1
                         HV -= 1
-                        light[v] = True
+                        light[v] = 1
                         for c2 in by_vertex[vptr[v] : vptr[v + 1]]:
                             if alive[c2]:
                                 e2 = ball_edge[c2]
@@ -327,13 +338,12 @@ def _peel_random(
             census.append([t, HV, A, *Bs, *Ls])
         trace = ProcessTrace(H.n, p, stride, np.array(census, dtype=np.int64))
 
-    steps = np.asarray(step_ball, dtype=np.int64)
-    del step_ball, log  # free the log before the harvest sets peak memory
+    steps = np.frombuffer(step_ball, dtype=np.int64)
     return _harvest(
         H,
-        ~np.asarray(light, dtype=bool),
-        np.asarray(alive, dtype=bool),
-        np.asarray(esize, dtype=np.int64),
+        ~np.frombuffer(light, dtype=bool),
+        np.frombuffer(alive, dtype=bool),
+        np.frombuffer(esize, dtype=np.int64),
         verts[steps],
         np.arange(len(steps)),
         row_of[steps],

@@ -107,14 +107,24 @@ def induced_degrees(edges, S, h: int, w: int) -> Counter:
     return deg
 
 
+def all_subsets_counts(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """|S| and i[S, e], the balls of edge e in S (a repeated vertex counts
+    once per repeat), for all 2^n subsets S at once: row r is the S whose
+    members are the set bits of r."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    incidence = np.zeros((n, len(edges)), dtype=np.int64)
+    for j, e in enumerate(edges):
+        for v in e:
+            incidence[v, j] += 1
+    return bits.sum(axis=1), bits @ incidence
+
+
 def all_subsets_kappa_ok(edges, n: int, h: int, w: int, k: int) -> bool:
-    """kappa(w-induced on S) <= k for every nonempty S, exact rationals."""
-    for r in range(1, n + 1):
-        for S in itertools.combinations(range(n), r):
-            sub = w_induced(edges, S, h, w)
-            if sub and kappa_exact(sub, len(S), h, w) > k:
-                return False
-    return True
+    """kappa(w-induced on S) <= k for every nonempty S: the w-induced
+    edges x∩S of size >= h-w+1 demand at most k|S| signs."""
+    size, i = all_subsets_counts(edges, n)
+    demand = np.where(i >= h - w + 1, sign_demand(h, w, i), 0).sum(axis=1)
+    return bool((demand <= k * size).all())
 
 
 def subset_stats_recount(edges, n: int, h: int, w: int, S):
@@ -266,6 +276,15 @@ def expansion_condition(H: Hypergraph, S: Iterable[int], p: OrientationParams) -
     st = subset_stats(H, S, p)
     total_demand = sum(sign_demand(p.h, p.w, len(e)) for e in H.edges)
     return st.dstar >= p.k * len(st.S) + total_demand - p.k * H.n
+
+
+def all_subsets_expansion_ok(H: Hypergraph, p: OrientationParams) -> bool:
+    """`expansion_condition` for every S, including the empty one, at once:
+    dstar(S) = sum over edges of min(i[S, e], sign demand of e)."""
+    size, i = all_subsets_counts(H.edges, H.n)
+    demand = np.array([sign_demand(p.h, p.w, len(e)) for e in H.edges], dtype=np.int64)
+    dstar = np.minimum(i, demand).sum(axis=1)
+    return bool((dstar >= p.k * size + demand.sum() - p.k * H.n).all())
 
 
 def recommended_gamma(p: OrientationParams) -> float:

@@ -10,15 +10,14 @@ import json
 import math
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 from ode_reference import integrate_lambda_state
 from oracles import (
+    all_subsets_expansion_ok,
     brute_force_core,
-    expansion_condition,
     hakimi_check,
     orientation_search,
     sample_uniform_simple,
@@ -31,7 +30,6 @@ from wkorient.cli import (
 )
 from wkorient.flow import orient
 from wkorient.hypergraph import (
-    Hypergraph,
     Orientation,
     OrientationParams,
     verify_orientation,
@@ -141,14 +139,6 @@ def test_w1_thresholds_match_the_literature():
 # ---------------------------------------------------------------------------
 
 
-def _holds_for_every_subset(H: Hypergraph, p: OrientationParams) -> bool:
-    return all(
-        expansion_condition(H, S, p)
-        for r in range(H.n + 1)
-        for S in combinations(range(H.n), r)
-    )
-
-
 def test_orientation_deciders_agree_exhaustively():
     """Flow, backtracking search, capacity counting, and the per-subset
     expansion inequality must render the same verdict on every instance.
@@ -174,7 +164,7 @@ def test_orientation_deciders_agree_exhaustively():
                     orientation_search(H.edges, H.n, h, w, k) is not None
                 )
                 by_counting = hakimi_check(H, p)
-                by_expansion = _holds_for_every_subset(H, p)
+                by_expansion = all_subsets_expansion_ok(H, p)
                 assert by_flow == by_search == by_counting == by_expansion, (
                     f"disagreement on {H} at (h,w,k)=({h},{w},{k}): "
                     f"flow={by_flow} search={by_search} "

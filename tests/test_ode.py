@@ -36,6 +36,11 @@ P324 = OrientationParams(3, 2, 4)
 FAST = dict(rtol=1e-10)
 
 
+def _empty(stats):
+    """A known core with no vertices left."""
+    return stats.alpha is not None and stats.alpha <= 0
+
+
 def _solve(p, mu_bar, **kw):
     return integrate(OdeParams(p, mu_bar, **{**FAST, **kw}))
 
@@ -161,7 +166,7 @@ def test_domain_is_checked_up_front():
 def test_supercritical_run_keeps_a_core():
     traj, stats = _solve(P324, 6.0)
     assert stats.terminated_by == "z_L"
-    assert not stats.empty
+    assert not _empty(stats)
     assert 0.0 < stats.alpha <= 1.0
     assert stats.kappa > P324.k  # above the threshold the core is too dense
     assert set(stats.beta) == {3, 2}
@@ -184,9 +189,9 @@ def test_strongly_subcritical_core_vanishes():
     # and the fixed point gives the empty one
     _, stats = _solve(P324, 4.5)
     assert stats.terminated_by == "mu_floor"
-    assert not stats.empty
+    assert not _empty(stats)
     assert (stats.alpha, stats.beta, stats.kappa, stats.mu_hat) == (None,) * 4
-    assert core_fixed_point(P324, 4.5).empty
+    assert _empty(core_fixed_point(P324, 4.5))
 
 
 def test_monotone_sample_columns():
@@ -332,7 +337,7 @@ def test_fixed_point_underflow_reads_as_empty_core():
     # and the demand ratio blow up instead of reading 0
     for mu_bar in (4.5, 1e-3):
         stats = core_fixed_point(P324, mu_bar)
-        assert stats.empty
+        assert _empty(stats)
         assert stats.kappa is None and stats.mu_hat is None
         assert set(stats.beta.values()) == {0.0}
 
@@ -464,7 +469,7 @@ def test_fixed_point_is_empty_below_emergence(hwk):
     below = [0.5 * mu_c, mu_c * (1 - 1e-9)]
     for mu_bar in below + ([mu_c] if hwk in CONTINUOUS else []):
         stats = core_fixed_point(p, mu_bar)
-        assert stats.empty and stats.kappa is None and stats.mu_hat is None
+        assert _empty(stats) and stats.kappa is None and stats.mu_hat is None
         assert set(stats.beta.values()) == {0.0}
         assert stats.x_star == pytest.approx(p.w * mu_bar / p.h, rel=1e-15)
 
@@ -647,7 +652,7 @@ def test_continuous_emergence_is_the_threshold(tol):
         assert res.bracket[0] <= res.mu_tilde <= res.bracket[1]
         assert res.bracket[1] - res.bracket[0] <= tol
         assert res.kappa_lo is None and k < res.kappa_hi
-        assert res.stats_at_threshold.empty
+        assert _empty(res.stats_at_threshold)
 
 
 def test_threshold_bisection_ends_on_a_collapsed_bracket():

@@ -1,14 +1,27 @@
 """The array-native peel, network builder and flow glue against the
 sequential tuple implementations kept in oracles.py: same cores, same
-network CSR, same orientations and witnesses."""
+network CSR, same orientations and witnesses.  Also the vectorised
+all-subsets oracles against the per-subset loops they stand for."""
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dict_orient, fifo_peel, peel_views, sign_demand, tuple_network
+from oracles import (
+    all_subsets_expansion_ok,
+    all_subsets_kappa_ok,
+    dict_orient,
+    expansion_condition,
+    fifo_peel,
+    kappa_exact,
+    peel_views,
+    sign_demand,
+    tuple_network,
+    w_induced,
+)
 from wkorient.flow import CutWitness, build_network, orient
 from wkorient.hypergraph import Hypergraph, Orientation, OrientationParams
 from wkorient.models import RngSeed, sample_uniform_multi
@@ -100,3 +113,27 @@ def test_orient_matches_dict_orient_on_sampled_graphs():
         kinds.append((want[0], len(got.S) if want[0] == "witness" else G.n))
     assert [kind for kind, _ in kinds] == ["signs", "witness", "witness"]
     assert 0 < kinds[2][1] < 3000
+
+
+def test_all_subsets_oracles_match_their_per_subset_loops():
+    # mixed edge sizes in [h-w+1, h], vertices may repeat inside an edge
+    verdicts = Counter()
+    rng = RngSeed(26).generator()
+    for _ in range(300):
+        h = int(rng.integers(2, 5))
+        w = int(rng.integers(1, h))
+        k = int(rng.integers(1, 3))
+        n = int(rng.integers(1, 8))
+        sizes = rng.integers(h - w + 1, h + 1, int(rng.integers(0, 9)))
+        H = Hypergraph(n, [rng.integers(0, n, s).tolist() for s in sizes])
+        p = OrientationParams(h, w, k)
+        subsets = [S for r in range(n + 1) for S in combinations(range(n), r)]
+        expansion = all(expansion_condition(H, S, p) for S in subsets)
+        kappa = all(
+            not (sub := w_induced(H.edges, S, h, w)) or kappa_exact(sub, len(S), h, w) <= k
+            for S in subsets[1:]
+        )
+        assert all_subsets_expansion_ok(H, p) == expansion
+        assert all_subsets_kappa_ok(H.edges, n, h, w, k) == kappa
+        verdicts[expansion, kappa] += 1
+    assert {(True, True), (False, False)} <= set(verdicts), verdicts

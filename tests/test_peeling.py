@@ -215,6 +215,22 @@ def test_extension_matches_the_per_edge_merge(inst, randomized):
     assert np.array_equal(got.ptr, want.ptr) and np.array_equal(got.verts, want.verts)
 
 
+@given(peel_instances(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_randomized_records_have_the_deterministic_dtypes(inst, traced):
+    H, p = inst
+    det = rancore(H, p)
+    ran = rancore(H, p, mode="randomized", rng=RngSeed(0).generator(), trace=traced and H.n > 0)
+    for name in ("core_ids", "step_vertex", "sign_step", "sign_edge", "residual"):
+        got, want = getattr(ran, name), getattr(det, name)
+        assert got.dtype == want.dtype == np.int64, name
+    core_o = orient(ran.core, p)
+    if isinstance(core_o, Orientation) and all(len(set(e)) == len(e) for e in H.edges):
+        # vertex-distinct edges cannot conflict, so the extension must verify
+        ok, why = verify_orientation(H, extend_orientation(ran, core_o, p), p)
+        assert ok, why
+
+
 def test_extension_rejects_invalid_core_orientation():
     pr = rancore(QUAD, P322)
     with pytest.raises(ValueError):
